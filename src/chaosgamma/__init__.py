@@ -13,6 +13,7 @@ from .bounds import (
     c1_constant,
     defect_domination_constant,
     dtheta_identity_check,
+    even_chaos_moments,
     fourth_moment_combo,
     lambda_const,
     lambda_field,
@@ -28,7 +29,6 @@ from .bounds import (
     theta,
     theta_variance_direct,
     theta_variance_expansion,
-    wbar,
 )
 from .chaos import (
     ChaosField,
@@ -46,10 +46,10 @@ from .chaos import (
     moment,
     multiply,
     second_moment,
+    wbar,
 )
 from .gamma import (
     DiffusionSpec,
-    GammaTarget,
     gamma_pdf,
     gamma_pdf_deriv,
     gamma_poly_expectation,

@@ -7,14 +7,17 @@ solution envelope of the Gamma Stein equation.  This module provides
 
 * the contraction coefficients lambda(k, l) and tau(k, l, r) together with
   the coefficient-ratio constants that convert one defect norm into another,
-* exact chaos-level constructions of Theta, of the tensor defect
-  Lambda(k, l) = lambda(k, l) D^k F (x)_1 D^l F - D^(k+l-2) F, and of the
-  projected gradient weight wbar = <DF, -D L^-1 F>,
+* exact chaos-level constructions of Theta and of the tensor defect
+  Lambda(k, l) = lambda(k, l) D^k F (x)_1 D^l F - D^(k+l-2) F (the projected
+  gradient weight wbar = <DF, -D L^-1 F> is built in ``chaos`` and
+  re-exported here),
 * closed contraction-norm expansions for E[Theta^2] and its relatives, each
   paired with an independent direct computation in the chaos engine,
 * the fully assembled pointwise density bounds: a moment-based bound for
   pure even chaos and a general Malliavin route driven by the defect
-  E[||D wbar - DF||^(s/2)].
+  E[||D wbar - DF||^(s/2)].  Both are a Stein-envelope prefactor times a
+  defect factor and share one assembly; each route supplies only its own
+  defect factor and gradient-weight terms.
 
 Everything that can be computed exactly is; Monte Carlo enters only for the
 moments that have no finite closed form (negative moments, fractional
@@ -33,7 +36,6 @@ import numpy as np
 from .chaos import (
     DEFAULT_MAX_ORDER,
     ChaosVector,
-    _needed_degree,
     evaluate,
     expectation,
     generator_inverse,
@@ -41,7 +43,9 @@ from .chaos import (
     malliavin_derivative,
     moment,
     multiply,
+    needed_degree,
     second_moment,
+    wbar,
 )
 from .gamma import gamma_pdf
 from .mc import (
@@ -50,10 +54,10 @@ from .mc import (
     McEstimate,
     MixedNegativeFunctional,
     MomentFunctional,
-    _signed_power,
     density_malliavin,
     mc_expect,
     run_chunked_multi,
+    signed_power,
     standard_normals,
 )
 from .multiindex import MultiIndex, merge, permutation_count, sub_multisets
@@ -69,6 +73,7 @@ __all__ = [
     "c1_constant",
     "defect_domination_constant",
     "dtheta_identity_check",
+    "even_chaos_moments",
     "fourth_moment_combo",
     "lambda_const",
     "lambda_field",
@@ -200,7 +205,10 @@ def defect_domination_constant(q: int, k: int, l: int) -> float:
 
 def _pure_even_order(F: ChaosVector) -> int:
     if not F.is_pure_chaos():
-        raise ValueError("this route needs a pure chaos element (single order, no constant)")
+        raise ValueError(
+            "the Gamma defect needs a pure chaos element (a single chaos order, no"
+            f" constant); got orders {F.orders or (0,)} with constant {F.constant}"
+        )
     q = F.top_order
     if q % 2 != 0:
         raise ValueError(
@@ -211,10 +219,14 @@ def _pure_even_order(F: ChaosVector) -> int:
 
 
 def _check_alpha(F: ChaosVector, alpha: float) -> None:
+    """alpha > 0, F centered, and E[F^2] = alpha."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    mean = expectation(F)
+    if abs(mean) > 1e-12 * max(1.0, alpha):
+        raise ValueError(f"F must be centered; E[F] = {mean!r}")
     m2 = second_moment(F)
-    if abs(m2 - alpha) > _ALPHA_TOL * max(1.0, abs(alpha)):
+    if abs(m2 - alpha) > _ALPHA_TOL * max(1.0, alpha):
         raise ValueError(f"E[F^2] = {m2!r} does not match alpha = {alpha!r}")
 
 
@@ -227,17 +239,6 @@ def theta(F: ChaosVector, alpha: float) -> ChaosVector:
     q = _pure_even_order(F)
     _check_alpha(F, alpha)
     return gradient_norm_sq(F) - F.scale(float(q)) - float(q) * alpha
-
-
-def wbar(F: ChaosVector) -> ChaosVector:
-    """Projected gradient weight <DF, -D L^-1 F> as an exact chaos element.
-
-    For pure chaos of order q this is ||DF||^2 / q; its expectation always
-    equals E[F^2].
-    """
-    DF = malliavin_derivative(F)
-    DLinv = malliavin_derivative(generator_inverse(F))
-    return DF.inner(DLinv.scale(-1.0))
 
 
 def theta_variance_expansion(f: SymTensor, alpha: float) -> float:
@@ -630,24 +631,44 @@ def shifted_positive_moment(
 # -- assembled bounds ---------------------------------------------------------------
 
 
-def fourth_moment_combo(F: ChaosVector, alpha: float) -> float:
-    """E[F^4] - 6 E[F^3] + 6(1 - alpha) alpha + 3 alpha^2.
+def even_chaos_moments(F: ChaosVector, alpha: float) -> dict:
+    """Exact low moments of a pure even-order chaos element with E[F^2] = alpha.
 
-    Nonnegative for pure even chaos with E[F^2] = alpha, zero exactly in the
-    Gamma-matching case; (q^2/3) times this dominates E[Theta^2].
+    Returns alpha, q, E[F] ("EF"), E[F^2] ("EF2"), E[F^3] ("EF3"),
+    E[F^4] ("EF4"), fourth_moment_combo and theta_var = E[Theta^2].  E[F^3]
+    and E[F^4] are closed spectral sums in the second chaos and exact chaos
+    products otherwise; each is built once.
     """
     q = _pure_even_order(F)
     _check_alpha(F, alpha)
+    Fb = F.with_budget(max(F.max_order, 4 * q))
     zeta = second_chaos_eigenvalues(F)
     if zeta is not None:
         m3 = 8.0 * float(np.sum(zeta**3))
         s2 = float(np.sum(zeta**2))
         m4 = 48.0 * float(np.sum(zeta**4)) + 12.0 * s2 * s2
     else:
-        Fb = F.with_budget(max(F.max_order, 4 * q))
         m3 = moment(Fb, 3)
         m4 = moment(Fb, 4)
-    return m4 - 6.0 * m3 + 6.0 * (1.0 - alpha) * alpha + 3.0 * alpha * alpha
+    return {
+        "alpha": alpha,
+        "q": q,
+        "EF": expectation(F),
+        "EF2": second_moment(F),
+        "EF3": m3,
+        "EF4": m4,
+        "fourth_moment_combo": m4 - 6.0 * m3 + 6.0 * (1.0 - alpha) * alpha + 3.0 * alpha * alpha,
+        "theta_var": second_moment(theta(Fb, alpha)),
+    }
+
+
+def fourth_moment_combo(F: ChaosVector, alpha: float) -> float:
+    """E[F^4] - 6 E[F^3] + 6(1 - alpha) alpha + 3 alpha^2.
+
+    Nonnegative for pure even chaos with E[F^2] = alpha, zero exactly in the
+    Gamma-matching case; (q^2/3) times this dominates E[Theta^2].
+    """
+    return even_chaos_moments(F, alpha)["fourth_moment_combo"]
 
 
 @dataclass(frozen=True)
@@ -666,9 +687,9 @@ class BoundReport:
     kind: str
     alpha: float
     q: int
-    fourth_moment_combo: float | None
-    theta_var: float | None
-    c1: float | None
+    fourth_moment_combo: float | None = None
+    theta_var: float | None = None
+    c1: float | None = None
     s: int | None = None
     p: float | None = None
     r: float | None = None
@@ -742,17 +763,14 @@ class BoundReport:
         }
 
 
-def _validate_xs(xs, alpha: float, k: int = 0) -> list[float]:
+def _validate_xs(xs, alpha: float) -> list[float]:
     pts = [float(x) for x in xs]
     if not pts:
         raise ValueError("need at least one evaluation point")
     if len(set(pts)) != len(pts):
         raise ValueError("evaluation points must be distinct")
-    for x in pts:
-        if x == 0.0 and alpha <= k + 1:
-            raise ValueError(
-                f"the bound at x = 0 needs alpha > {k + 1}, got alpha = {alpha}"
-            )
+    if 0.0 in pts and alpha <= 1:
+        raise ValueError(f"the bound at x = 0 needs alpha > 1, got alpha = {alpha}")
     return pts
 
 
@@ -771,6 +789,136 @@ def _envelope_prefactor_terms(
         else:
             total += coeff * math.sqrt(moment_of_exponent(2.0 * power))
     return total
+
+
+def _refuse_spectrum(F: ChaosVector, alpha: float) -> np.ndarray | None:
+    """Spectrum of a pure second-chaos F, or None for any other F.
+
+    Refuses a spectrum that cannot support the prefactor's negative moments:
+    a negative eigenvalue or a negative shift gap alpha - sum(zeta) lets
+    F + alpha reach zero with positive density, and E[(F+alpha)^-4] needs
+    more than 8 positive eigenvalues.
+    """
+    zeta = second_chaos_eigenvalues(F)
+    if zeta is None:
+        return None
+    if np.any(zeta < -_SPECTRUM_TOL):
+        raise ValueError(
+            "the second-chaos spectrum has negative eigenvalues, so F + alpha"
+            " crosses zero with positive density and E[(F+alpha)^-2] diverges"
+        )
+    gap = alpha - float(np.sum(zeta))
+    if gap < -_SPECTRUM_TOL:
+        raise ValueError(
+            f"shift gap alpha - sum(zeta) = {gap!r} is negative, so F + alpha"
+            " is not almost surely nonnegative and the negative moments diverge"
+        )
+    n_pos = int(np.sum(zeta > _SPECTRUM_TOL))
+    if n_pos < _MIN_POSITIVE_EIGENVALUES:
+        raise ValueError(
+            "the prefactor needs negative moments up to E[(F+alpha)^-4], which"
+            f" require more than 8 positive eigenvalues; this spectrum has {n_pos}"
+        )
+    return zeta
+
+
+def _assemble_bound(
+    kind: str,
+    F: ChaosVector,
+    alpha: float,
+    xs,
+    n: int,
+    seed: int,
+    workers: int,
+    chunk_size: int,
+    route_terms: Callable[..., tuple[float, float | None, dict]],
+    flags: list[str],
+) -> BoundReport:
+    """The assembly both density bounds share.
+
+    Validates alpha, F and xs, refuses unsupported second-chaos spectra
+    (flagging existence as unverified when F is not pure second chaos), and
+    calls ``route_terms(zeta, neg, flags)`` for what is the route's own.  That
+    call may add Monte Carlo estimates to ``neg`` and flags to ``flags``, and
+    returns (defect factor, gradient-weight terms of the prefactor, extra
+    BoundReport fields); gradient terms None mean the defect vanishes exactly
+    and the bound is zero.  The bound at x is
+
+        (sum of envelope terms coeff * E[(F+alpha)^(2 power)]^(1/2)
+         + gradient-weight terms) * defect factor.
+
+    Positive moments E[(F+alpha)^p] take the cheapest exact route (Monte
+    Carlo otherwise) and negative ones Monte Carlo, at seeds seed + 21,
+    seed + 22, ... in order of first use.  The density estimate at seed + 17
+    and the Gamma target are reported next to the bound.
+    """
+    _check_alpha(F, alpha)
+    pts = _validate_xs(xs, alpha)
+    zeta = _refuse_spectrum(F, alpha)
+    if zeta is None:
+        flags.append("negative_moment_existence_unverified")
+    neg: dict[str, McEstimate] = {}
+    factor, weight_terms, fields = route_terms(zeta, neg, flags)
+
+    pos: dict[str, dict] = {}
+    cache: dict[float, float] = {}
+
+    def moment_of(exponent: float) -> float:
+        ex = float(exponent)
+        if ex in cache:
+            return cache[ex]
+        label = f"E[(F+a)^{ex:g}]"
+        mc_seed = seed + 21 + len(cache)
+        if ex >= 0:
+            val, route, est = shifted_positive_moment(
+                F, alpha, ex, n, mc_seed, workers, chunk_size
+            )
+            rec = {"value": val, "route": route}
+            if est is not None:
+                rec["stderr"] = est.stderr
+                mc_flags = list(est.flags)
+                if est.n_rejected > 0:
+                    mc_flags.append("signed_base_rejections")
+                if mc_flags:
+                    rec["flags"] = mc_flags
+            pos[label] = rec
+        else:
+            est = mc_expect(F, MomentFunctional(ex, alpha), n, mc_seed, workers, chunk_size)
+            neg[label] = est
+            val = est.value
+        cache[ex] = val
+        return val
+
+    envs = {x: envelope(alpha, 0, x) for x in pts}
+    prefactor: dict[float, float] = {}
+    if weight_terms is None:
+        flags.append("zero_defect_shortcut")
+        bound = {x: 0.0 for x in pts}
+    else:
+        for x in pts:
+            prefactor[x] = _envelope_prefactor_terms(envs[x], moment_of) + weight_terms
+        bound = {x: p0 * factor for x, p0 in prefactor.items()}
+
+    density = dict(
+        zip(pts, density_malliavin(F, alpha, 0, pts, n, seed + 17, workers, chunk_size))
+    )
+    for x in pts:
+        flags.extend(f"density@{x:g}:{fl}" for fl in density[x].flags)
+    fields["meta"] = {"n": n, "seed": seed, **fields["meta"]}
+    return BoundReport(
+        kind=kind,
+        alpha=float(alpha),
+        q=F.top_order,
+        negative_moments=neg,
+        positive_moments=pos,
+        stein_envelope=envs,
+        prefactor=prefactor,
+        bound=bound,
+        density_mc=density,
+        density_target={x: (gamma_pdf(alpha, x) if x >= 0 else 0.0) for x in pts},
+        flags=tuple(dict.fromkeys(flags)),
+        **fields,
+    )
 
 
 def assemble_density_bound(
@@ -801,122 +949,37 @@ def assemble_density_bound(
     existence is flagged as unverified instead.
     """
     q = _pure_even_order(F)
-    _check_alpha(F, alpha)
-    pts = _validate_xs(xs, alpha, k=0)
-    flags: list[str] = []
 
-    zeta = second_chaos_eigenvalues(F)
-    if zeta is not None:
-        n_pos = int(np.sum(zeta > _SPECTRUM_TOL))
-        if np.any(zeta < -_SPECTRUM_TOL):
-            raise ValueError(
-                "the second-chaos spectrum has negative eigenvalues, so F + alpha"
-                " crosses zero with positive density and E[(F+alpha)^-2] diverges"
-            )
-        gap = alpha - float(np.sum(zeta))
-        if gap < -_SPECTRUM_TOL:
-            raise ValueError(
-                f"shift gap alpha - sum(zeta) = {gap!r} is negative, so F + alpha"
-                " is not almost surely nonnegative and the negative moments diverge"
-            )
-        if n_pos < _MIN_POSITIVE_EIGENVALUES:
-            raise ValueError(
-                "the prefactor needs negative moments up to E[(F+alpha)^-4], which"
-                f" require more than 8 positive eigenvalues; this spectrum has {n_pos}"
-            )
-    else:
-        flags.append("negative_moment_existence_unverified")
-
-    combo = fourth_moment_combo(F, alpha)
-    if combo < -1e-9 * max(1.0, alpha * alpha):
-        flags.append("negative_combo_clamped")
-    radical = math.sqrt(q * q / 3.0 * max(combo, 0.0))
-    tvar = second_moment(theta(F.with_budget(max(F.max_order, 4 * q)), alpha))
-    c1 = c1_constant(q)
-
-    envs = {x: envelope(alpha, 0, x) for x in pts}
-    density = {
-        x: est
-        for x, est in zip(pts, density_malliavin(F, alpha, 0, pts, n, seed + 17, workers, chunk_size))
-    }
-    target = {x: (gamma_pdf(alpha, x) if x >= 0 else 0.0) for x in pts}
-
-    neg: dict[str, McEstimate] = {}
-    pos: dict[str, dict] = {}
-    prefactor: dict[float, float] = {}
-    bound: dict[float, float] = {}
-
-    if radical == 0.0:
-        flags.append("zero_defect_shortcut")
-        bound = {x: 0.0 for x in pts}
-    else:
-        moment_cache: dict[float, float] = {}
-        mc_seq = [0]
-
-        def moment_of(exponent: float) -> float:
-            ex = float(exponent)
-            if ex in moment_cache:
-                return moment_cache[ex]
-            label = f"E[(F+a)^{ex:g}]"
-            if ex >= 0:
-                mc_seq[0] += 1
-                val, route, est = shifted_positive_moment(
-                    F, alpha, ex, n, seed + 20 + mc_seq[0], workers, chunk_size
-                )
-                rec = {"value": val, "route": route}
-                if est is not None:
-                    rec["stderr"] = est.stderr
-                    neg_flags = [fl for fl in est.flags]
-                    if neg_flags:
-                        rec["flags"] = neg_flags
-                pos[label] = rec
-            else:
-                mc_seq[0] += 1
-                est = mc_expect(
-                    F, MomentFunctional(ex, alpha), n, seed + 20 + mc_seq[0], workers, chunk_size
-                )
-                neg[label] = est
-                val = est.value
-            moment_cache[ex] = val
-            return val
-
+    def route_terms(zeta, neg, flags):
+        moments = even_chaos_moments(F, alpha)
+        combo = moments["fourth_moment_combo"]
+        if combo < -1e-9 * max(1.0, alpha * alpha):
+            flags.append("negative_combo_clamped")
+        radical = math.sqrt(q * q / 3.0 * max(combo, 0.0))
+        c1 = c1_constant(q)
+        fields = {
+            "fourth_moment_combo": combo,
+            "theta_var": moments["theta_var"],
+            "c1": c1,
+            "meta": {"radical": radical},
+        }
+        if radical == 0.0:
+            return radical, None, fields
         grad_m2 = mc_expect(F, GradientNormFunctional(-4.0), n, seed + 1, workers, chunk_size)
         grad_m3 = mc_expect(F, GradientNormFunctional(-6.0), n, seed + 2, workers, chunk_size)
         mixed = mc_expect(F, MixedNegativeFunctional(2.0, 2.0, alpha), n, seed + 3, workers, chunk_size)
         neg["E[w^-2]"] = grad_m2
         neg["E[w^-3]"] = grad_m3
         neg["E[w^-2 (F+a)^-2]"] = mixed
-
-        base = (
+        weight_terms = (
             math.sqrt(max(grad_m2.value, 0.0))
             + abs(alpha - 1.0) * math.sqrt(max(mixed.value, 0.0))
             + c1 * math.sqrt(max(grad_m3.value, 0.0))
         )
-        for x in pts:
-            p0 = _envelope_prefactor_terms(envs[x], moment_of) + base
-            prefactor[x] = p0
-            bound[x] = p0 * radical
+        return radical, weight_terms, fields
 
-    for x in pts:
-        est = density[x]
-        flags.extend(f"density@{x:g}:{fl}" for fl in est.flags)
-
-    return BoundReport(
-        kind="chaos-moment",
-        alpha=float(alpha),
-        q=q,
-        fourth_moment_combo=combo,
-        theta_var=tvar,
-        c1=c1,
-        negative_moments=neg,
-        positive_moments=pos,
-        stein_envelope=envs,
-        prefactor=prefactor,
-        bound=bound,
-        density_mc=density,
-        density_target=target,
-        flags=tuple(dict.fromkeys(flags)),
-        meta={"n": n, "seed": seed, "radical": radical},
+    return _assemble_bound(
+        "chaos-moment", F, alpha, xs, n, seed, workers, chunk_size, route_terms, []
     )
 
 
@@ -953,158 +1016,67 @@ def assemble_general_bound(
     """
     if s not in (4, 8, 12):
         raise ValueError(f"s must be one of 4, 8, 12; got {s}")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if abs(expectation(F)) > 1e-12 * max(1.0, alpha):
-        raise ValueError(f"F must be centered; E[F] = {expectation(F)!r}")
-    m2 = second_moment(F)
-    if abs(m2 - alpha) > _ALPHA_TOL * max(1.0, alpha):
-        raise ValueError(f"E[F^2] = {m2!r} does not match alpha = {alpha!r}")
-    pts = _validate_xs(xs, alpha, k=0)
-    flags: list[str] = []
-    if s == 4:
-        flags.append("s4_constant_uncertified")
 
-    zeta = second_chaos_eigenvalues(F)
-    if zeta is not None:
-        n_nonzero = int(np.sum(np.abs(zeta) > _SPECTRUM_TOL))
-        n_pos = int(np.sum(zeta > _SPECTRUM_TOL))
-        if np.any(zeta < -_SPECTRUM_TOL):
-            raise ValueError(
-                "the second-chaos spectrum has negative eigenvalues, so F + alpha"
-                " crosses zero with positive density and E[(F+alpha)^-2] diverges"
-            )
-        gap = alpha - float(np.sum(zeta))
-        if gap < -_SPECTRUM_TOL:
-            raise ValueError(
-                f"shift gap alpha - sum(zeta) = {gap!r} is negative, so F + alpha"
-                " is not almost surely nonnegative and the negative moments diverge"
-            )
-        if n_pos < _MIN_POSITIVE_EIGENVALUES:
-            raise ValueError(
-                "the mixed term needs negative moments up to E[(F+alpha)^-4], which"
-                f" require more than 8 positive eigenvalues; this spectrum has {n_pos}"
-            )
-        if n_nonzero < 13:
-            raise ValueError(
-                "E[wbar^-6] for a second-chaos element is finite only with more"
-                f" than 12 nonzero eigenvalues; this spectrum has {n_nonzero}"
-            )
-    else:
-        flags.append("negative_moment_existence_unverified")
+    def route_terms(zeta, neg, flags):
+        if zeta is not None:
+            n_nonzero = int(np.sum(np.abs(zeta) > _SPECTRUM_TOL))
+            if n_nonzero < 13:
+                raise ValueError(
+                    "E[wbar^-6] for a second-chaos element is finite only with more"
+                    f" than 12 nonzero eigenvalues; this spectrum has {n_nonzero}"
+                )
+        W = wbar(F)
+        ew = expectation(W)
+        if abs(ew - alpha) > _ALPHA_TOL * max(1.0, alpha):
+            raise ValueError(f"E[wbar] = {ew!r} does not match alpha = {alpha!r}")
 
-    DF = malliavin_derivative(F)
-    Linv = generator_inverse(F)
-    DLinv = malliavin_derivative(Linv)
-    wbar_vec = DF.inner(DLinv.scale(-1.0))
-    ew = expectation(wbar_vec)
-    if abs(ew - alpha) > _ALPHA_TOL * max(1.0, alpha):
-        raise ValueError(f"E[wbar] = {ew!r} does not match alpha = {alpha!r}")
+        diff = malliavin_derivative(W) - malliavin_derivative(F)
+        gsq = diff.inner(diff)
+        e_def = s // 4
+        gsq_b = gsq.with_budget(max(gsq.max_order, gsq.top_order * e_def))
+        defect_moment = moment(gsq_b, e_def) if e_def > 1 else expectation(gsq_b)
+        defect_moment = max(defect_moment, 0.0)
 
-    dwbar = malliavin_derivative(wbar_vec)
-    diff = dwbar - DF
-    gsq = diff.inner(diff)
-    e_def = s // 4
-    gsq_b = gsq.with_budget(max(gsq.max_order, gsq.top_order * e_def))
-    defect_moment = moment(gsq_b, e_def) if e_def > 1 else expectation(gsq_b)
-    defect_moment = max(defect_moment, 0.0)
+        DLinv = malliavin_derivative(generator_inverse(F))
+        linv_gradsq = DLinv.inner(DLinv)
+        deg = needed_degree([W, F, linv_gradsq])
 
-    linv_gradsq = DLinv.inner(DLinv)
-    deg = _needed_degree([wbar_vec, F, linv_gradsq])
+        def sample_chunk(gen: np.random.Generator, m: int):
+            Z = standard_normals(gen, (m, F.dim))
+            table = hermite_table(Z, deg)
+            wv = evaluate(W, Z, table)
+            fv = evaluate(F, Z, table) + alpha
+            uv = evaluate(linv_gradsq, Z, table)
+            c1v, r1 = signed_power(wv, -2.0)
+            c2f, r2 = signed_power(fv, -2.0)
+            c3v, r3 = signed_power(wv, -6.0)
+            c4v, r4 = signed_power(uv, 1.5)
+            cols = np.stack([c1v, c1v * c2f, c3v, c4v], axis=1)
+            return cols, r1 + r2 + r3 + r4
 
-    def sample_chunk(gen: np.random.Generator, m: int):
-        Z = standard_normals(gen, (m, F.dim))
-        table = hermite_table(Z, deg)
-        wv = evaluate(wbar_vec, Z, table)
-        fv = evaluate(F, Z, table) + alpha
-        uv = evaluate(linv_gradsq, Z, table)
-        c1v, r1 = _signed_power(wv, -2.0)
-        c2f, r2 = _signed_power(fv, -2.0)
-        c3v, r3 = _signed_power(wv, -6.0)
-        c4v, r4 = _signed_power(uv, 1.5)
-        cols = np.stack([c1v, c1v * c2f, c3v, c4v], axis=1)
-        return cols, r1 + r2 + r3 + r4
+        ests = run_chunked_multi(sample_chunk, n, seed + 3, 4, workers, chunk_size)
+        neg["E[wbar^-2]"] = ests[0]
+        neg["E[wbar^-2 (F+a)^-2]"] = ests[1]
+        neg["E[wbar^-6]"] = ests[2]
+        neg["E[||D Linv F||^3]"] = ests[3]
 
-    ests = run_chunked_multi(sample_chunk, n, seed + 3, 4, workers, chunk_size)
-    neg = {
-        "E[wbar^-2]": ests[0],
-        "E[wbar^-2 (F+a)^-2]": ests[1],
-        "E[wbar^-6]": ests[2],
-        "E[||D Linv F||^3]": ests[3],
-    }
+        sqrt_m1 = math.sqrt(s / 2.0 - 1.0)
+        weight_terms = (
+            sqrt_m1 * math.sqrt(max(ests[0].value, 0.0))
+            + sqrt_m1 * abs(1.0 - alpha) * math.sqrt(max(ests[1].value, 0.0))
+            + max(ests[2].value, 0.0) ** (1.0 / 3.0) * max(ests[3].value, 0.0) ** (1.0 / 3.0)
+        )
+        hs = 3.0 * s / (s - 3.0)
+        fields = {
+            "s": s,
+            "p": hs,
+            "r": hs,
+            "defect_moment": defect_moment,
+            "meta": {"m": s // 2},
+        }
+        return defect_moment ** (2.0 / s), weight_terms, fields
 
-    pos: dict[str, dict] = {}
-    moment_cache: dict[float, float] = {}
-    mc_seq = [0]
-
-    def moment_of(exponent: float) -> float:
-        ex = float(exponent)
-        if ex in moment_cache:
-            return moment_cache[ex]
-        label = f"E[(F+a)^{ex:g}]"
-        if ex >= 0:
-            mc_seq[0] += 1
-            val, route, est = shifted_positive_moment(
-                F, alpha, ex, n, seed + 20 + mc_seq[0], workers, chunk_size
-            )
-            rec = {"value": val, "route": route}
-            if est is not None:
-                rec["stderr"] = est.stderr
-                if est.n_rejected:
-                    rec["flags"] = ["signed_base_rejections"]
-            pos[label] = rec
-        else:
-            mc_seq[0] += 1
-            est = mc_expect(
-                F, MomentFunctional(ex, alpha), n, seed + 20 + mc_seq[0], workers, chunk_size
-            )
-            neg[label] = est
-            val = est.value
-        moment_cache[ex] = val
-        return val
-
-    sqrt_m1 = math.sqrt(s / 2.0 - 1.0)
-    base = (
-        sqrt_m1 * math.sqrt(max(ests[0].value, 0.0))
-        + sqrt_m1 * abs(1.0 - alpha) * math.sqrt(max(ests[1].value, 0.0))
-        + max(ests[2].value, 0.0) ** (1.0 / 3.0) * max(ests[3].value, 0.0) ** (1.0 / 3.0)
-    )
-
-    envs = {x: envelope(alpha, 0, x) for x in pts}
-    prefactor: dict[float, float] = {}
-    bound: dict[float, float] = {}
-    for x in pts:
-        p0 = _envelope_prefactor_terms(envs[x], moment_of) + base
-        prefactor[x] = p0
-        bound[x] = p0 * defect_moment ** (2.0 / s)
-
-    density = {
-        x: est
-        for x, est in zip(pts, density_malliavin(F, alpha, 0, pts, n, seed + 17, workers, chunk_size))
-    }
-    target = {x: (gamma_pdf(alpha, x) if x >= 0 else 0.0) for x in pts}
-    for x in pts:
-        flags.extend(f"density@{x:g}:{fl}" for fl in density[x].flags)
-
-    hs = 3.0 * s / (s - 3.0)
-    return BoundReport(
-        kind="malliavin-general",
-        alpha=float(alpha),
-        q=F.top_order,
-        fourth_moment_combo=None,
-        theta_var=None,
-        c1=None,
-        s=s,
-        p=hs,
-        r=hs,
-        defect_moment=defect_moment,
-        negative_moments=neg,
-        positive_moments=pos,
-        stein_envelope=envs,
-        prefactor=prefactor,
-        bound=bound,
-        density_mc=density,
-        density_target=target,
-        flags=tuple(dict.fromkeys(flags)),
-        meta={"n": n, "seed": seed, "m": s // 2},
+    flags = ["s4_constant_uncertified"] if s == 4 else []
+    return _assemble_bound(
+        "malliavin-general", F, alpha, xs, n, seed, workers, chunk_size, route_terms, flags
     )

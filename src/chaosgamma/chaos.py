@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .multiindex import MultiIndex, distinct_permutations
+from .multiindex import MultiIndex, distinct_permutations, permutation_count
 from .polynomials import hermite_table
 from .tensors import SymTensor, contract_sym
 
@@ -56,6 +56,8 @@ __all__ = [
     "moment",
     "carre_du_champ",
     "gradient_norm_sq",
+    "wbar",
+    "needed_degree",
     "evaluate",
     "eval_jet",
     "JetValue",
@@ -378,10 +380,21 @@ def gradient_norm_sq(F: ChaosVector) -> ChaosVector:
     return carre_du_champ(F, F)
 
 
+def wbar(F: ChaosVector) -> ChaosVector:
+    """Projected gradient weight <DF, -D L^-1 F> as an exact chaos element.
+
+    For pure chaos of order q this is ||DF||^2 / q; its expectation always
+    equals E[F^2].
+    """
+    DLinv = malliavin_derivative(generator_inverse(F))
+    return malliavin_derivative(F).inner(DLinv.scale(-1.0))
+
+
 # -- evaluation -----------------------------------------------------------------
 
 
-def _needed_degree(vectors: Iterable[ChaosVector]) -> int:
+def needed_degree(vectors: Iterable[ChaosVector]) -> int:
+    """Highest Hermite degree any basis label reaches in the given vectors."""
     deg = 1
     for F in vectors:
         for f in F.kernels.values():
@@ -403,23 +416,16 @@ def evaluate(F: ChaosVector, Z: np.ndarray, table: np.ndarray | None = None) -> 
     if Z.shape[1] != F.dim:
         raise ValueError(f"sample dimension {Z.shape[1]} != chaos dimension {F.dim}")
     if table is None:
-        table = hermite_table(Z, _needed_degree([F]))
+        table = hermite_table(Z, needed_degree([F]))
     out = np.full(Z.shape[0], F.constant)
     for _, f in sorted(F.kernels.items()):
         for key, val in f.coeffs.items():
             c = Counter(key)
-            term = np.full(Z.shape[0], val * float(_mult_count(key)))
+            term = np.full(Z.shape[0], val * float(permutation_count(key)))
             for v, a in c.items():
                 term = term * table[:, v, a]
             out += term
     return out
-
-
-def _mult_count(key: MultiIndex) -> int:
-    c = factorial(len(key))
-    for k in Counter(key).values():
-        c //= factorial(k)
-    return c
 
 
 @dataclass(frozen=True)
@@ -447,7 +453,7 @@ def eval_jet(F: ChaosVector, z: Sequence[float], k: int) -> JetValue:
     z = np.asarray(z, dtype=float)
     if z.shape != (F.dim,):
         raise ValueError(f"point must have shape ({F.dim},)")
-    deg = _needed_degree([F])
+    deg = needed_degree([F])
     table = hermite_table(z[None, :], deg)[0]  # (d, deg+1)
 
     value = F.constant
@@ -456,7 +462,7 @@ def eval_jet(F: ChaosVector, z: Sequence[float], k: int) -> JetValue:
     for _, f in sorted(F.kernels.items()):
         for key, val in f.coeffs.items():
             a = Counter(key)
-            base = val * float(_mult_count(key))
+            base = val * float(permutation_count(key))
             hermites = {v: table[v, c] for v, c in a.items()}
             value += base * float(np.prod(list(hermites.values())))
             support = sorted(a)

@@ -57,15 +57,13 @@ from .bounds import (
     c1_constant,
     defect_domination_constant,
     dtheta_identity_check,
-    fourth_moment_combo,
+    even_chaos_moments,
     lambda_const,
     lambda_norm_direct,
     lambda_norm_expansion,
-    second_chaos_eigenvalues,
     second_derivative_defect_direct,
     second_derivative_defect_expansion,
     tau_const,
-    theta,
     theta_variance_direct,
     theta_variance_expansion,
 )
@@ -80,7 +78,6 @@ from .chaos import (
     generator,
     generator_inverse,
     malliavin_derivative,
-    moment,
     multiply,
     second_moment,
 )
@@ -163,7 +160,9 @@ def _parse_spec(node) -> tuple[ChaosVector, float | None]:
     if "zeta" in node:
         _reject_unknown(node, {"zeta", "alpha"}, "spec")
         try:
-            spec = SecondChaosSpec(tuple(node["zeta"]), float(node.get("alpha", 0.0) or sum(2 * z * z for z in node["zeta"])))
+            zeta = tuple(node["zeta"])
+            alpha = node["alpha"] if "alpha" in node else sum(2 * z * z for z in zeta)
+            spec = SecondChaosSpec(zeta, float(alpha))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad second-chaos spec: {exc}") from exc
         return ChaosVector.second_chaos_diagonal(spec.zeta), spec.alpha
@@ -267,41 +266,9 @@ def _manifest(ns, cfg_sha: str, params: dict) -> dict:
 # -- subcommands ---------------------------------------------------------------
 
 
-def _moments_doc(F: ChaosVector, alpha: float) -> dict:
-    q = F.top_order
-    if not F.is_pure_chaos() or q % 2 != 0:
-        raise ValueError(
-            f"moments of the Gamma defect need a pure even-order chaos element;"
-            f" got orders {F.orders or (0,)} with constant {F.constant}. Whether the"
-            " odd-order analogue admits such a bound is an open problem, so odd"
-            " orders are refused rather than silently mishandled."
-        )
-    zeta = second_chaos_eigenvalues(F)
-    if zeta is not None:
-        m3 = 8.0 * float(np.sum(zeta**3))
-        s2 = float(np.sum(zeta**2))
-        m4 = 48.0 * float(np.sum(zeta**4)) + 12.0 * s2 * s2
-    else:
-        Fb = F.with_budget(max(F.max_order, 4 * q))
-        m3 = moment(Fb, 3)
-        m4 = moment(Fb, 4)
-    combo = fourth_moment_combo(F, alpha)
-    tvar = second_moment(theta(F.with_budget(max(F.max_order, 4 * q)), alpha))
-    return {
-        "alpha": alpha,
-        "q": q,
-        "EF": expectation(F),
-        "EF2": second_moment(F),
-        "EF3": m3,
-        "EF4": m4,
-        "fourth_moment_combo": combo,
-        "theta_var": tvar,
-    }
-
-
 def cmd_moments(ns, cfg_sha: str, outdir: Path) -> tuple[int, dict]:
     F, alpha = _need_spec(ns)
-    doc = _moments_doc(F, alpha)
+    doc = even_chaos_moments(F, alpha)
     _write_json(outdir / "moments.json", doc)
     _write_json(outdir / "manifest.json", _manifest(ns, cfg_sha, {"alpha": alpha}))
     return EXIT_OK, doc
@@ -582,7 +549,7 @@ def cmd_verify(ns, cfg_sha: str, outdir: Path) -> tuple[int, dict]:
 
 def cmd_report(ns, cfg_sha: str, outdir: Path) -> tuple[int, dict]:
     F, alpha = _need_spec(ns)
-    moments = _moments_doc(F, alpha) if (F.is_pure_chaos() and F.top_order % 2 == 0) else None
+    moments = even_chaos_moments(F, alpha) if (F.is_pure_chaos() and F.top_order % 2 == 0) else None
     rep = _run_bound(ns, F, alpha)
     _write_json(outdir / "bound_report.json", rep.to_json_dict())
     (outdir / "bound_summary.csv").write_text(rep.csv_text(), encoding="utf-8")

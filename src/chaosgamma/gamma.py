@@ -30,12 +30,12 @@ from .mc import (
 from .polynomials import PolySpec
 
 __all__ = [
-    "GammaTarget",
     "gamma_pdf",
     "gamma_pdf_deriv",
     "nu_weight",
     "gamma_poly_expectation",
     "rising_factorial",
+    "signed_products",
     "laguerre_generator_apply",
     "laguerre_carre_du_champ",
     "DiffusionSpec",
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 
-def _deriv_products(alpha: float, k: int) -> list[float]:
+def signed_products(alpha: float, k: int) -> list[float]:
     """prod_{j=1}^{i} (j - alpha) for i = 0..k (empty product is 1)."""
     out = [1.0]
     for j in range(1, k + 1):
@@ -83,7 +83,7 @@ def gamma_pdf_deriv(alpha: float, k: int, x: "float | np.ndarray") -> "float | n
             f"derivative of order {k} of the Gamma({alpha}) density is "
             "undefined at the origin; need alpha > k + 1"
         )
-    prods = _deriv_products(alpha, k)
+    prods = signed_products(alpha, k)
     pos = x > 0
     safe = np.where(pos, x, 1.0)
     bracket = np.zeros_like(safe)
@@ -105,7 +105,7 @@ def nu_weight(alpha: float, k: int, y: "float | np.ndarray") -> "float | np.ndar
     y = np.asarray(y, dtype=float)
     nonzero = y != 0.0
     safe = np.where(nonzero, y, 1.0)
-    prods = _deriv_products(alpha, k)
+    prods = signed_products(alpha, k)
     acc = np.zeros_like(safe)
     for i in range(k + 1):
         acc += math.comb(k, i) * prods[i] * safe ** (-i)
@@ -237,32 +237,3 @@ def representation_check(
         return np.where(ind, w, 0.0), 0
 
     return run_chunked(sample_chunk, n, seed, workers, chunk_size), exact
-
-
-@dataclass(frozen=True)
-class GammaTarget:
-    """Bundle of Gamma(alpha) target quantities used across the package."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-
-    def pdf(self, x):
-        return gamma_pdf(self.alpha, x)
-
-    def pdf_deriv(self, k: int, x):
-        return gamma_pdf_deriv(self.alpha, k, x)
-
-    def nu(self, k: int, y):
-        return nu_weight(self.alpha, k, y)
-
-    def poly_expectation(self, poly) -> float:
-        return gamma_poly_expectation(self.alpha, poly)
-
-    def moment(self, m: int) -> float:
-        return rising_factorial(self.alpha, m)
-
-    def sample(self, gen: np.random.Generator, m: int) -> np.ndarray:
-        return gamma_variates(gen, self.alpha, m)

@@ -20,11 +20,11 @@ from scipy.special import gammaincinv, ndtri
 
 from .chaos import (
     ChaosVector,
-    _needed_degree,
     carre_du_champ,
     evaluate,
     generator,
     gradient_norm_sq,
+    needed_degree,
 )
 from .polynomials import hermite_table
 
@@ -38,6 +38,7 @@ __all__ = [
     "run_chunked",
     "run_chunked_multi",
     "mc_expect",
+    "signed_power",
     "MomentFunctional",
     "GradientNormFunctional",
     "MixedNegativeFunctional",
@@ -252,7 +253,7 @@ Functional = (
 )
 
 
-def _signed_power(base: np.ndarray, power: float) -> tuple[np.ndarray, int]:
+def signed_power(base: np.ndarray, power: float) -> tuple[np.ndarray, int]:
     """base**power with near-zero/negative bases rejected for negative or
     fractional powers; returns (values-with-NaN, rejection count)."""
     if power >= 0 and float(power).is_integer():
@@ -278,12 +279,12 @@ def mc_expect(
         Z = standard_normals(gen, (m, F.dim))
         rejected = 0
         if isinstance(g, MomentFunctional):
-            vals, rejected = _signed_power(evaluate(F, Z) + g.shift, g.power)
+            vals, rejected = signed_power(evaluate(F, Z) + g.shift, g.power)
         elif isinstance(g, GradientNormFunctional):
-            vals, rejected = _signed_power(evaluate(wvec, Z), g.power / 2.0)
+            vals, rejected = signed_power(evaluate(wvec, Z), g.power / 2.0)
         elif isinstance(g, MixedNegativeFunctional):
-            v1, r1 = _signed_power(evaluate(wvec, Z), -g.a)
-            v2, r2 = _signed_power(evaluate(F, Z) + g.shift, -g.b)
+            v1, r1 = signed_power(evaluate(wvec, Z), -g.a)
+            v2, r2 = signed_power(evaluate(F, Z) + g.shift, -g.b)
             vals, rejected = v1 * v2, r1 + r2
         elif isinstance(g, IndicatorFunctional):
             y = evaluate(F, Z) + g.shift
@@ -435,7 +436,7 @@ def density_malliavin(
     REJECT_EPS are rejected and counted.
     """
     vecs = estimator_vectors(F, k)
-    deg = _needed_degree(vecs.values())
+    deg = needed_degree(vecs.values())
     xs = [float(x) for x in xs]
     sign = (-1.0) ** k
 

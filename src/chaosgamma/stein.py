@@ -25,14 +25,8 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gammainc, gammaincc, gammaln
 
-from .chaos import (
-    ChaosVector,
-    expectation,
-    generator_inverse,
-    malliavin_derivative,
-    second_moment,
-)
-from .gamma import gamma_pdf_deriv, nu_weight
+from .chaos import ChaosVector, expectation, second_moment, wbar
+from .gamma import gamma_pdf_deriv, nu_weight, signed_products
 from .mc import (
     CHUNK_SIZE,
     IndicatorFunctional,
@@ -81,16 +75,9 @@ def _abs_products(alpha: float, n: int) -> list[float]:
     return out
 
 
-def _signed_products(alpha: float, n: int) -> list[float]:
-    out = [1.0]
-    for j in range(1, n + 1):
-        out.append(out[-1] * (j - alpha))
-    return out
-
-
 def _nu_neg_axis_coeffs(alpha: float, k: int) -> list[float]:
     """Coefficients w_i with nu_{k+1}(-s) = sum_i w_i s^{-i} for s > 0."""
-    prods = _signed_products(alpha, k + 1)
+    prods = signed_products(alpha, k + 1)
     return [
         (-1.0) ** k * math.comb(k + 1, i) * prods[i] * (-1.0) ** i
         for i in range(k + 2)
@@ -208,7 +195,7 @@ def _exp_upper_gamma(alpha: float, y: float) -> float:
 
 def _exp_scaled_pdf_deriv(alpha: float, k: int, y: float) -> float:
     """e^y Gamma(alpha) p^(k)(y) for y > 0, exact cancellation of e^(-y)."""
-    prods = _signed_products(alpha, k)
+    prods = signed_products(alpha, k)
     bracket = math.fsum(math.comb(k, i) * prods[i] * y ** (-i) for i in range(k + 1))
     return (-1.0) ** k * y ** (alpha - 1.0) * bracket
 
@@ -628,8 +615,7 @@ def stein_discrepancy(
             )
     eh = float(gamma_pdf_deriv(alpha, k, x)) if br == "positive" else 0.0
 
-    wbar = malliavin_derivative(F).inner(malliavin_derivative(generator_inverse(F)).scale(-1.0))
-    mismatch = (F + alpha) - wbar
+    mismatch = (F + alpha) - wbar(F)
     l2 = math.sqrt(max(second_moment(mismatch), 0.0))
 
     nu_fn = lambda y: nu_weight(alpha, k + 1, y)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import comb
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -96,10 +96,6 @@ class SymTensor:
         """
         m = as_multi_index(tuple(indices))
         return SymTensor(len(m), dim, {m: 1.0 / permutation_count(m)})
-
-    @staticmethod
-    def from_entries(order: int, dim: int, entries: Mapping[MultiIndex, float]) -> "SymTensor":
-        return SymTensor(order, dim, dict(entries))
 
     # -- algebra -----------------------------------------------------------
 
@@ -285,7 +281,6 @@ def contract_sym(f: SymTensor, g: SymTensor, r: int) -> SymTensor:
         raise ValueError(f"invalid contraction count r={r}")
     out_order = n + m - 2 * r
     total_splits = comb(out_order, n - r)
-    rfact = factorial(r)
 
     # index g by its size-r sub-multisets once
     g_index: dict[MultiIndex, list[tuple[MultiIndex, float]]] = defaultdict(list)
@@ -299,18 +294,9 @@ def contract_sym(f: SymTensor, g: SymTensor, r: int) -> SymTensor:
             matches = g_index.get(key_k)
             if not matches:
                 continue
-            ordered_k = rfact // _count_prod(key_k)
+            ordered_k = permutation_count(key_k)
             base = vf * ordered_k
             for v, vg in matches:
                 big = merge(u, v)
                 acc[big] += base * vg * split_count(big, u) / total_splits
     return SymTensor(out_order, f.dim, dict(acc))
-
-
-def _count_prod(m: MultiIndex) -> int:
-    from collections import Counter
-
-    p = 1
-    for k in Counter(m).values():
-        p *= factorial(k)
-    return p

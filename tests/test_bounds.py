@@ -439,17 +439,26 @@ def ok_spec_vector(rng, size=12):
     return F, second_moment(F)
 
 
+ROUTES = {"chaos-moment": assemble_density_bound, "malliavin-general": assemble_general_bound}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize(
+    "zeta,message",
+    [
+        ([0.6] * 10 + [-0.2], "negative eigenvalues"),
+        ([0.3] * 12, "shift gap"),
+        ([0.5] * 8, "positive eigenvalues"),
+    ],
+)
+def test_spectrum_refusals(route, zeta, message):
+    F = ChaosVector.second_chaos_diagonal(zeta)
+    with pytest.raises(ValueError, match=message):
+        ROUTES[route](F, second_moment(F), [1.0], 1000, seed=64)
+
+
 def test_density_bound_refusals():
     rng = np.random.default_rng(63)
-    bad = ChaosVector.second_chaos_diagonal([0.6] * 10 + [-0.2])
-    with pytest.raises(ValueError, match="negative eigenvalues"):
-        assemble_density_bound(bad, second_moment(bad), [1.0], 1000, seed=64)
-    thin = ChaosVector.second_chaos_diagonal([0.5] * 8)
-    with pytest.raises(ValueError, match="positive eigenvalues"):
-        assemble_density_bound(thin, second_moment(thin), [1.0], 1000, seed=65)
-    small = ChaosVector.second_chaos_diagonal([0.3] * 12)
-    with pytest.raises(ValueError, match="shift gap"):
-        assemble_density_bound(small, second_moment(small), [1.0], 1000, seed=66)
     odd = ChaosVector.from_kernel(random_kernel(rng, 3, 3))
     with pytest.raises(ValueError, match="odd"):
         assemble_density_bound(odd, second_moment(odd), [1.0], 1000, seed=67)
@@ -518,9 +527,6 @@ def test_general_bound_refusals():
         assemble_general_bound(F, alpha, [alpha], 1000, seed=76, s=6)
     with pytest.raises(ValueError, match="centered"):
         assemble_general_bound(F + 1.0, alpha, [alpha], 1000, seed=77, s=8)
-    thin = ChaosVector.second_chaos_diagonal([0.7] * 8)
-    with pytest.raises(ValueError, match="positive eigenvalues"):
-        assemble_general_bound(thin, second_moment(thin), [1.0], 1000, seed=78, s=8)
 
 
 def test_general_bound_mixed_chaos_flag():
@@ -534,3 +540,22 @@ def test_general_bound_mixed_chaos_flag():
     alpha = second_moment(F)
     rep = assemble_general_bound(F, alpha, [alpha], 20_000, seed=80, s=8)
     assert "negative_moment_existence_unverified" in rep.flags
+
+
+def test_positive_moment_flags_agree_across_routes():
+    """On a q = 4 element F + alpha takes negative values, so fractional
+    positive moments go to Monte Carlo with rejected bases; both routes must
+    record the same flags for each moment they share."""
+    rng = np.random.default_rng(0)
+    F = ChaosVector.from_kernel(random_kernel(rng, 4, 2, scale=0.3))
+    alpha = second_moment(F)
+    moment_rep = assemble_density_bound(F, alpha, [alpha], 4000, seed=5)
+    general_rep = assemble_general_bound(F, alpha, [alpha], 4000, seed=5)
+    shared = set(moment_rep.positive_moments) & set(general_rep.positive_moments)
+    assert shared
+    for label in shared:
+        a = moment_rep.positive_moments[label]
+        b = general_rep.positive_moments[label]
+        assert a["route"] == "mc"
+        assert "signed_base_rejections" in a["flags"]
+        assert a["flags"] == b["flags"]

@@ -73,6 +73,16 @@ def test_moments_refuses_odd_order(tmp_path, capsys):
     assert "odd" in err["error"]["message"]
 
 
+def test_moments_refuses_empty_kernel(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"spec": {"chaos": {"dim": 2, "kernels": {}}, "alpha": 1.0}})
+    code = main(["moments", "--config", cfg, "--out", str(tmp_path)])
+    err, _ = last_json_line(capsys)
+    assert code == 3
+    assert err["error"]["type"] == "refusal"
+    assert "pure chaos" in err["error"]["message"]
+    assert "odd" not in err["error"]["message"]
+
+
 def test_bound_files_and_worker_invariance(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -221,6 +231,16 @@ def test_config_command_mismatch(tmp_path, capsys):
     err, _ = last_json_line(capsys)
     assert code == 1
     assert "command" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("alpha", [0, 0.0, -3])
+def test_zeta_spec_rejects_nonpositive_alpha(tmp_path, capsys, alpha):
+    cfg = write_config(tmp_path, {"spec": {"zeta": [0.5] * 10, "alpha": alpha}})
+    code = main(["moments", "--config", cfg, "--out", str(tmp_path)])
+    err, _ = last_json_line(capsys)
+    assert code == 1
+    assert err["error"]["type"] == "validation"
+    assert "alpha must be positive" in err["error"]["message"]
 
 
 def test_missing_spec_rejected(tmp_path, capsys):

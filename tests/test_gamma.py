@@ -11,7 +11,6 @@ from scipy.special import poch, roots_genlaguerre
 
 from chaosgamma.gamma import (
     DiffusionSpec,
-    GammaTarget,
     diffusion_density_estimate,
     gamma_pdf,
     gamma_pdf_deriv,
@@ -212,8 +211,4 @@ def test_diffusion_outside_support_is_noise_around_zero():
 
 def test_gamma_target_validation():
     with pytest.raises(ValueError):
-        GammaTarget(0.0)
-    with pytest.raises(ValueError):
         laguerre_diffusion(-1.0)
-    t = GammaTarget(2.0)
-    assert t.pdf(1.0) == pytest.approx(math.exp(-1.0))

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chaosgamma.multiindex import (
     as_multi_index,
@@ -54,6 +57,11 @@ def test_distinct_permutations_enumerates_exactly():
     assert len(perms) == permutation_count(m)
     assert len(set(perms)) == len(perms)
     assert all(tuple(sorted(p)) == m for p in perms)
+
+
+@given(st.lists(st.integers(0, 3), max_size=7).map(as_multi_index))
+def test_permutation_count_counts_distinct_orderings(m):
+    assert permutation_count(m) == len(set(itertools.permutations(m)))
 
 
 def test_merge_contains_subtract_roundtrip():
