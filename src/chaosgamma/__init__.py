@@ -71,6 +71,7 @@ from .mc import (
     mc_expect,
     run_chunked,
     run_chunked_multi,
+    run_pass,
     substream,
 )
 from .polynomials import PolySpec, hermite_table, hermite_value, laguerre_value

@@ -27,7 +27,7 @@ moments), and each such estimate is returned with its seed and stderr.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations_with_replacement
 from typing import Callable, Mapping
 
@@ -36,32 +36,28 @@ import numpy as np
 from .chaos import (
     DEFAULT_MAX_ORDER,
     ChaosVector,
-    evaluate,
     expectation,
     generator_inverse,
     gradient_norm_sq,
     malliavin_derivative,
     moment,
     multiply,
-    needed_degree,
     second_moment,
     wbar,
 )
 from .gamma import gamma_pdf
 from .mc import (
     CHUNK_SIZE,
-    GradientNormFunctional,
     McEstimate,
-    MixedNegativeFunctional,
     MomentFunctional,
-    density_malliavin,
+    SecondChaosSpec,
+    density_columns,
+    estimator_vectors,
     mc_expect,
-    run_chunked_multi,
-    signed_power,
-    standard_normals,
+    power_column,
+    run_pass,
 )
 from .multiindex import MultiIndex, merge, permutation_count, sub_multisets
-from .polynomials import hermite_table
 from .stein import SteinEnvelope, envelope
 from .tensors import SymTensor, contract_sym
 
@@ -595,6 +591,21 @@ def _second_chaos_shifted_moment(zeta: np.ndarray, alpha: float, p: int) -> floa
     return _moments_from_cumulants(kappa, p)
 
 
+def _exact_positive_moment(F: ChaosVector, alpha: float, exponent: float) -> tuple[float, str] | None:
+    """(value, route) of ``shifted_positive_moment`` when its route is exact, else None."""
+    if exponent == 0:
+        return 1.0, "trivial"
+    e_int = int(round(exponent))
+    if abs(exponent - e_int) < 1e-12:
+        zeta = second_chaos_eigenvalues(F)
+        if zeta is not None:
+            return _second_chaos_shifted_moment(zeta, alpha, e_int), "spectral"
+        if F.top_order * e_int <= 12:
+            budget = max(F.max_order, F.top_order * e_int)
+            return moment((F + float(alpha)).with_budget(budget), e_int), "chaos-product"
+    return None
+
+
 def shifted_positive_moment(
     F: ChaosVector,
     alpha: float,
@@ -607,23 +618,16 @@ def shifted_positive_moment(
     """E[(F + alpha)^exponent] for exponent >= 0, routed to the cheapest
     exact method available.
 
-    Routes: "spectral" (second chaos, integer exponent, exact cumulants),
-    "chaos-product" (integer exponent with a feasible product order),
-    "mc" otherwise.  Returns (value, route, estimate-or-None).
+    Routes: "trivial" (exponent 0), "spectral" (second chaos, integer
+    exponent, exact cumulants), "chaos-product" (integer exponent with a
+    feasible product order), "mc" otherwise.  Returns (value, route,
+    estimate-or-None).
     """
     if exponent < 0:
         raise ValueError("exponent must be nonnegative; negative moments go through MC")
-    if exponent == 0:
-        return 1.0, "trivial", None
-    e_int = int(round(exponent))
-    if abs(exponent - e_int) < 1e-12:
-        zeta = second_chaos_eigenvalues(F)
-        if zeta is not None:
-            return _second_chaos_shifted_moment(zeta, alpha, e_int), "spectral", None
-        if F.top_order * e_int <= 12:
-            budget = max(F.max_order, F.top_order * e_int)
-            val = moment((F + float(alpha)).with_budget(budget), e_int)
-            return val, "chaos-product", None
+    exact = _exact_positive_moment(F, alpha, exponent)
+    if exact is not None:
+        return *exact, None
     est = mc_expect(F, MomentFunctional(float(exponent), float(alpha)), n, seed, workers, chunk_size)
     return est.value, "mc", est
 
@@ -774,21 +778,29 @@ def _validate_xs(xs, alpha: float) -> list[float]:
     return pts
 
 
-def _envelope_prefactor_terms(
-    env: SteinEnvelope,
-    moment_of_exponent: Callable[[float], float],
-) -> float:
-    """sum over envelope terms coeff * |y|^power of
-    coeff * E[(F+alpha)^(2 power)]^(1/2), the L^2 assembly of the envelope."""
-    total = 0.0
-    for power, coeff in env.terms:
-        if coeff == 0.0:
-            continue
-        if power == 0.0:
-            total += coeff
-        else:
-            total += coeff * math.sqrt(moment_of_exponent(2.0 * power))
-    return total
+def _variance_flag(zeta: np.ndarray | None, alpha: float, factors: tuple) -> str | None:
+    """Whether the Monte Carlo column E[w^-a (F+alpha)^-b] with these
+    ``power_column`` factors has a variance, w being ||DF||^2 or wbar.
+
+    The variance needs E[w^-2a (F+alpha)^-2b] < inf.  For pure second chaos
+    the rule of ``SecondChaosSpec.negative_moment_finite`` decides E[w^-2a],
+    and E[(F+alpha)^-2b] at shift gap 0; a positive gap keeps F + alpha away
+    from 0.  Returns "infinite_variance" when the rule proves the variance
+    infinite, "variance_unverified" when it decides nothing, else None.
+    """
+    a = sum(-p for name, _, p in factors if name != "F" and p < 0)
+    b = sum(-p for name, _, p in factors if name == "F" and p < 0)
+    if a == b == 0:
+        return None
+    if zeta is None:
+        return "variance_unverified"
+    spec = SecondChaosSpec(tuple(sorted(zeta[zeta > _SPECTRUM_TOL], reverse=True)), alpha)
+    gap = spec.shift_gap() > _SPECTRUM_TOL
+    if b == 0:
+        return None if spec.negative_moment_finite(2 * a) else "infinite_variance"
+    if a == 0:
+        return None if gap or spec.negative_moment_finite(2 * b) else "infinite_variance"
+    return None if gap and spec.negative_moment_finite(2 * a) else "variance_unverified"
 
 
 def _refuse_spectrum(F: ChaosVector, alpha: float) -> np.ndarray | None:
@@ -831,80 +843,92 @@ def _assemble_bound(
     seed: int,
     workers: int,
     chunk_size: int,
-    route_terms: Callable[..., tuple[float, float | None, dict]],
+    route_terms: Callable[..., tuple],
     flags: list[str],
 ) -> BoundReport:
     """The assembly both density bounds share.
 
     Validates alpha, F and xs, refuses unsupported second-chaos spectra
     (flagging existence as unverified when F is not pure second chaos), and
-    calls ``route_terms(zeta, neg, flags)`` for what is the route's own.  That
-    call may add Monte Carlo estimates to ``neg`` and flags to ``flags``, and
-    returns (defect factor, gradient-weight terms of the prefactor, extra
-    BoundReport fields); gradient terms None mean the defect vanishes exactly
-    and the bound is zero.  The bound at x is
+    calls ``route_terms(zeta, flags)`` for what is the route's own.  That
+    call may add flags and returns (defect factor, extra BoundReport fields,
+    vectors, columns, weight_terms): the route's Monte Carlo columns
+    (label -> ``mc.power_column`` factors), the ChaosVectors they read beyond
+    ``mc.estimator_vectors(F, 0)``, and ``weight_terms(means)``, the
+    gradient-weight terms of the prefactor from the columns' clamped means.
+    Columns None mean the defect vanishes exactly and the bound is zero.
+    The bound at x is
 
         (sum of envelope terms coeff * E[(F+alpha)^(2 power)]^(1/2)
          + gradient-weight terms) * defect factor.
 
-    Positive moments E[(F+alpha)^p] take the cheapest exact route (Monte
-    Carlo otherwise) and negative ones Monte Carlo, at seeds seed + 21,
-    seed + 22, ... in order of first use.  The density estimate at seed + 17
-    and the Gamma target are reported next to the bound.
+    The plan collects the exponents the envelopes need, in order of first
+    use; a positive one with an exact route takes it, every other one is a
+    column.  Every Monte Carlo number of the report (these columns and the
+    density at each x) comes from one ``mc.run_pass`` at seed + 3.  Columns
+    and report carry the flags of ``_variance_flag``.
     """
     _check_alpha(F, alpha)
     pts = _validate_xs(xs, alpha)
     zeta = _refuse_spectrum(F, alpha)
     if zeta is None:
         flags.append("negative_moment_existence_unverified")
-    neg: dict[str, McEstimate] = {}
-    factor, weight_terms, fields = route_terms(zeta, neg, flags)
-
-    pos: dict[str, dict] = {}
-    cache: dict[float, float] = {}
-
-    def moment_of(exponent: float) -> float:
-        ex = float(exponent)
-        if ex in cache:
-            return cache[ex]
-        label = f"E[(F+a)^{ex:g}]"
-        mc_seed = seed + 21 + len(cache)
-        if ex >= 0:
-            val, route, est = shifted_positive_moment(
-                F, alpha, ex, n, mc_seed, workers, chunk_size
-            )
-            rec = {"value": val, "route": route}
-            if est is not None:
-                rec["stderr"] = est.stderr
-                mc_flags = list(est.flags)
-                if est.n_rejected > 0:
-                    mc_flags.append("signed_base_rejections")
-                if mc_flags:
-                    rec["flags"] = mc_flags
-            pos[label] = rec
-        else:
-            est = mc_expect(F, MomentFunctional(ex, alpha), n, mc_seed, workers, chunk_size)
-            neg[label] = est
-            val = est.value
-        cache[ex] = val
-        return val
+    factor, fields, vectors, columns, weight_terms = route_terms(zeta, flags)
 
     envs = {x: envelope(alpha, 0, x) for x in pts}
+    label = "E[(F+a)^{:g}]".format
+    plan = {} if columns is None else {
+        label(2.0 * p): 2.0 * p for x in pts for p, c in envs[x].terms if c != 0.0 and p != 0.0
+    }
+    exact = {k: _exact_positive_moment(F, alpha, ex) for k, ex in plan.items() if ex >= 0}
+    columns = dict(columns or {})
+    columns.update((k, (("F", alpha, ex),)) for k, ex in plan.items() if exact.get(k) is None)
+    mc_columns = {k: power_column(*fac) for k, fac in columns.items()}
+    ests = run_pass(
+        {**estimator_vectors(F, 0), **vectors},
+        {**mc_columns, **density_columns(alpha, 0, pts)},
+        n, seed + 3, workers, chunk_size,
+    )
+    for k, fac in columns.items():
+        var_flag = _variance_flag(zeta, alpha, fac)
+        if var_flag is not None:
+            ests[k] = replace(ests[k], flags=ests[k].flags + (var_flag,))
+            flags.append(var_flag)
+
+    pos: dict[str, dict] = {}
+    for k, ex in plan.items():
+        if k not in columns:
+            pos[k] = {"value": exact[k][0], "route": exact[k][1]}
+        elif ex >= 0:
+            est = ests[k]
+            pos[k] = {"value": est.value, "route": "mc", "stderr": est.stderr}
+            mc_flags = list(est.flags) + ["signed_base_rejections"] * (est.n_rejected > 0)
+            if mc_flags:
+                pos[k]["flags"] = mc_flags
+    neg = {k: ests[k] for k in columns if k not in pos}
+    means = {k: max(est.value, 0.0) for k, est in ests.items()}
+    means.update((k, rec["value"]) for k, rec in pos.items())
+
     prefactor: dict[float, float] = {}
     if weight_terms is None:
         flags.append("zero_defect_shortcut")
         bound = {x: 0.0 for x in pts}
     else:
+        # the L^2 assembly of the envelope: coeff * |y|^power gives
+        # coeff * E[(F+alpha)^(2 power)]^(1/2)
         for x in pts:
-            prefactor[x] = _envelope_prefactor_terms(envs[x], moment_of) + weight_terms
+            prefactor[x] = sum(
+                c * math.sqrt(means[label(2.0 * p)]) if p != 0.0 else c
+                for p, c in envs[x].terms if c != 0.0
+            ) + weight_terms(means)
         bound = {x: p0 * factor for x, p0 in prefactor.items()}
 
-    density = dict(
-        zip(pts, density_malliavin(F, alpha, 0, pts, n, seed + 17, workers, chunk_size))
-    )
+    density = {x: ests[f"density[{j}]"] for j, x in enumerate(pts)}
     for x in pts:
         flags.extend(f"density@{x:g}:{fl}" for fl in density[x].flags)
-    fields["meta"] = {"n": n, "seed": seed, **fields["meta"]}
+    fields["meta"] = {
+        "n": n, "seed": seed, "gaussian_passes": 1, "normal_draws": n * F.dim, **fields["meta"]
+    }
     return BoundReport(
         kind=kind,
         alpha=float(alpha),
@@ -950,7 +974,7 @@ def assemble_density_bound(
     """
     q = _pure_even_order(F)
 
-    def route_terms(zeta, neg, flags):
+    def route_terms(zeta, flags):
         moments = even_chaos_moments(F, alpha)
         combo = moments["fourth_moment_combo"]
         if combo < -1e-9 * max(1.0, alpha * alpha):
@@ -964,19 +988,21 @@ def assemble_density_bound(
             "meta": {"radical": radical},
         }
         if radical == 0.0:
-            return radical, None, fields
-        grad_m2 = mc_expect(F, GradientNormFunctional(-4.0), n, seed + 1, workers, chunk_size)
-        grad_m3 = mc_expect(F, GradientNormFunctional(-6.0), n, seed + 2, workers, chunk_size)
-        mixed = mc_expect(F, MixedNegativeFunctional(2.0, 2.0, alpha), n, seed + 3, workers, chunk_size)
-        neg["E[w^-2]"] = grad_m2
-        neg["E[w^-3]"] = grad_m3
-        neg["E[w^-2 (F+a)^-2]"] = mixed
-        weight_terms = (
-            math.sqrt(max(grad_m2.value, 0.0))
-            + abs(alpha - 1.0) * math.sqrt(max(mixed.value, 0.0))
-            + c1 * math.sqrt(max(grad_m3.value, 0.0))
-        )
-        return radical, weight_terms, fields
+            return radical, fields, {}, None, None
+        columns = {
+            "E[w^-2]": (("w", 0.0, -2.0),),
+            "E[w^-3]": (("w", 0.0, -3.0),),
+            "E[w^-2 (F+a)^-2]": (("w", 0.0, -2.0), ("F", alpha, -2.0)),
+        }
+
+        def weight_terms(m):
+            return (
+                math.sqrt(m["E[w^-2]"])
+                + abs(alpha - 1.0) * math.sqrt(m["E[w^-2 (F+a)^-2]"])
+                + c1 * math.sqrt(m["E[w^-3]"])
+            )
+
+        return radical, fields, {}, columns, weight_terms
 
     return _assemble_bound(
         "chaos-moment", F, alpha, xs, n, seed, workers, chunk_size, route_terms, []
@@ -1017,7 +1043,7 @@ def assemble_general_bound(
     if s not in (4, 8, 12):
         raise ValueError(f"s must be one of 4, 8, 12; got {s}")
 
-    def route_terms(zeta, neg, flags):
+    def route_terms(zeta, flags):
         if zeta is not None:
             n_nonzero = int(np.sum(np.abs(zeta) > _SPECTRUM_TOL))
             if n_nonzero < 13:
@@ -1038,34 +1064,21 @@ def assemble_general_bound(
         defect_moment = max(defect_moment, 0.0)
 
         DLinv = malliavin_derivative(generator_inverse(F))
-        linv_gradsq = DLinv.inner(DLinv)
-        deg = needed_degree([W, F, linv_gradsq])
+        columns = {
+            "E[wbar^-2]": (("W", 0.0, -2.0),),
+            "E[wbar^-2 (F+a)^-2]": (("W", 0.0, -2.0), ("F", alpha, -2.0)),
+            "E[wbar^-6]": (("W", 0.0, -6.0),),
+            "E[||D Linv F||^3]": (("U", 0.0, 1.5),),
+        }
 
-        def sample_chunk(gen: np.random.Generator, m: int):
-            Z = standard_normals(gen, (m, F.dim))
-            table = hermite_table(Z, deg)
-            wv = evaluate(W, Z, table)
-            fv = evaluate(F, Z, table) + alpha
-            uv = evaluate(linv_gradsq, Z, table)
-            c1v, r1 = signed_power(wv, -2.0)
-            c2f, r2 = signed_power(fv, -2.0)
-            c3v, r3 = signed_power(wv, -6.0)
-            c4v, r4 = signed_power(uv, 1.5)
-            cols = np.stack([c1v, c1v * c2f, c3v, c4v], axis=1)
-            return cols, r1 + r2 + r3 + r4
+        def weight_terms(m):
+            sqrt_m1 = math.sqrt(s / 2.0 - 1.0)
+            return (
+                sqrt_m1 * math.sqrt(m["E[wbar^-2]"])
+                + sqrt_m1 * abs(1.0 - alpha) * math.sqrt(m["E[wbar^-2 (F+a)^-2]"])
+                + m["E[wbar^-6]"] ** (1.0 / 3.0) * m["E[||D Linv F||^3]"] ** (1.0 / 3.0)
+            )
 
-        ests = run_chunked_multi(sample_chunk, n, seed + 3, 4, workers, chunk_size)
-        neg["E[wbar^-2]"] = ests[0]
-        neg["E[wbar^-2 (F+a)^-2]"] = ests[1]
-        neg["E[wbar^-6]"] = ests[2]
-        neg["E[||D Linv F||^3]"] = ests[3]
-
-        sqrt_m1 = math.sqrt(s / 2.0 - 1.0)
-        weight_terms = (
-            sqrt_m1 * math.sqrt(max(ests[0].value, 0.0))
-            + sqrt_m1 * abs(1.0 - alpha) * math.sqrt(max(ests[1].value, 0.0))
-            + max(ests[2].value, 0.0) ** (1.0 / 3.0) * max(ests[3].value, 0.0) ** (1.0 / 3.0)
-        )
         hs = 3.0 * s / (s - 3.0)
         fields = {
             "s": s,
@@ -1074,7 +1087,8 @@ def assemble_general_bound(
             "defect_moment": defect_moment,
             "meta": {"m": s // 2},
         }
-        return defect_moment ** (2.0 / s), weight_terms, fields
+        vectors = {"W": W, "U": DLinv.inner(DLinv)}
+        return defect_moment ** (2.0 / s), fields, vectors, columns, weight_terms
 
     flags = ["s4_constant_uncertified"] if s == 4 else []
     return _assemble_bound(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -37,13 +38,13 @@ __all__ = [
     "gamma_variates",
     "run_chunked",
     "run_chunked_multi",
+    "run_pass",
+    "power_column",
     "mc_expect",
-    "signed_power",
     "MomentFunctional",
-    "GradientNormFunctional",
-    "MixedNegativeFunctional",
     "IndicatorFunctional",
     "SecondChaosSpec",
+    "density_columns",
     "density_malliavin",
     "density_kde",
     "density_cf_oracle",
@@ -117,7 +118,7 @@ def _chunk_sizes(n: int, chunk_size: int) -> list[int]:
 
 
 def run_chunked_multi(
-    sample_chunk: Callable[[np.random.Generator, int], tuple[np.ndarray, int]],
+    sample_chunk: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]],
     n: int,
     seed: int,
     n_columns: int,
@@ -127,8 +128,10 @@ def run_chunked_multi(
     """Estimate the column means of a (n, n_columns) sample matrix.
 
     ``sample_chunk(gen, m)`` returns (values of shape (m, n_columns),
-    n_rejected).  Rejected or otherwise invalid entries must be NaN; they are
-    dropped per column and counted.  The fold over chunks uses math.fsum on
+    rejected counts of shape (n_columns,)).  Rejected or otherwise invalid
+    entries must be NaN; they are dropped per column.  Each column reports
+    its own rejection count, and the NaN entries it does not account for
+    flag it ``nonfinite_samples``.  The fold over chunks uses math.fsum on
     per-chunk partial sums, so the result is independent of the worker count.
     """
     sizes = _chunk_sizes(n, chunk_size)
@@ -137,8 +140,9 @@ def run_chunked_multi(
         gen = substream(seed, i)
         vals, rejected = sample_chunk(gen, sizes[i])
         vals = np.asarray(vals, dtype=float)
-        if vals.shape != (sizes[i], n_columns):
-            raise ValueError(f"sample_chunk returned shape {vals.shape}")
+        rejected = np.asarray(rejected, dtype=np.int64)
+        if vals.shape != (sizes[i], n_columns) or rejected.shape != (n_columns,):
+            raise ValueError(f"sample_chunk returned shapes {vals.shape}, {rejected.shape}")
         finite = np.isfinite(vals)
         safe = np.where(finite, vals, 0.0)
         return (
@@ -147,7 +151,7 @@ def run_chunked_multi(
             np.sum(safe * safe, axis=0),
             np.sum(np.abs(safe), axis=0),
             np.max(np.abs(safe), axis=0, initial=0.0),
-            int(rejected),
+            rejected,
         )
 
     if workers > 1:
@@ -156,7 +160,6 @@ def run_chunked_multi(
     else:
         stats = [work(i) for i in range(len(sizes))]
 
-    total_rejected = sum(s[5] for s in stats)
     chunk_tag = f"philox2x64/{chunk_size}"
     out = []
     for c in range(n_columns):
@@ -165,12 +168,13 @@ def run_chunked_multi(
         total_sq = math.fsum(s[2][c] for s in stats)
         total_abs = math.fsum(s[3][c] for s in stats)
         max_abs = max(s[4][c] for s in stats)
+        rejected = sum(int(s[5][c]) for s in stats)
         n_bad = n - n_used
         flags: list[str] = []
         if n_used == 0:
             out.append(
                 McEstimate(
-                    math.nan, math.nan, 0, seed, chunk_tag, n, n_bad, total_rejected,
+                    math.nan, math.nan, 0, seed, chunk_tag, n, n_bad, rejected,
                     0.0, ("no_valid_samples",),
                 )
             )
@@ -181,11 +185,11 @@ def run_chunked_multi(
         share = max_abs / total_abs if total_abs > 0 else 0.0
         if share > HEAVY_TAIL_SHARE:
             flags.append("heavy_tail")
-        if n_bad > total_rejected:
+        if n_bad > rejected:
             flags.append("nonfinite_samples")
         out.append(
             McEstimate(
-                mean, stderr, n_used, seed, chunk_tag, n, n_bad, total_rejected,
+                mean, stderr, n_used, seed, chunk_tag, n, n_bad, rejected,
                 share, tuple(flags),
             )
         )
@@ -199,13 +203,50 @@ def run_chunked(
     workers: int = 1,
     chunk_size: int = CHUNK_SIZE,
 ) -> McEstimate:
-    """Single-column version of ``run_chunked_multi``."""
+    """Single-column ``run_chunked_multi``; ``sample_chunk`` returns (values, rejected count)."""
 
     def wrap(gen, m):
         vals, rejected = sample_chunk(gen, m)
-        return np.asarray(vals, dtype=float).reshape(m, 1), rejected
+        return np.asarray(vals, dtype=float).reshape(m, 1), [rejected]
 
     return run_chunked_multi(wrap, n, seed, 1, workers, chunk_size)[0]
+
+
+# A column maps the evaluated arrays of one chunk to (values, rejected count).
+Column = Callable[[dict[str, np.ndarray]], tuple[np.ndarray, int]]
+
+
+def run_pass(
+    vectors: Mapping[str, ChaosVector],
+    columns: Mapping[str, Column],
+    n: int,
+    seed: int,
+    workers: int = 1,
+    chunk_size: int = CHUNK_SIZE,
+) -> dict[str, McEstimate]:
+    """Means of named columns over one Gaussian pass, keyed like ``columns``.
+
+    Each chunk draws its Gaussian rows once, builds one Hermite table and
+    evaluates each of ``vectors`` once into a dict of arrays under the same
+    names.  The columns run in order on that dict, so a column may store a
+    derived array in it for the ones after it.
+    """
+    names, fns = list(columns), list(columns.values())
+    dim = next(iter(vectors.values())).dim
+    deg = needed_degree(vectors.values())
+
+    def sample_chunk(gen: np.random.Generator, m: int):
+        Z = standard_normals(gen, (m, dim))
+        table = hermite_table(Z, deg)
+        vals = {name: evaluate(vec, Z, table) for name, vec in vectors.items()}
+        out = np.empty((m, len(fns)))
+        rejected = np.empty(len(fns), dtype=np.int64)
+        for j, fn in enumerate(fns):
+            out[:, j], rejected[j] = fn(vals)
+        return out, rejected
+
+    ests = run_chunked_multi(sample_chunk, n, seed, len(fns), workers, chunk_size)
+    return dict(zip(names, ests))
 
 
 # -- catalog of analytic functionals ---------------------------------------------
@@ -217,22 +258,6 @@ class MomentFunctional:
 
     power: float
     shift: float = 0.0
-
-
-@dataclass(frozen=True)
-class GradientNormFunctional:
-    """E[||DF||^power], evaluated through the exact chaos kernel of ||DF||^2."""
-
-    power: float
-
-
-@dataclass(frozen=True)
-class MixedNegativeFunctional:
-    """E[||DF||^(-2a) (F + shift)^(-b)]."""
-
-    a: float
-    b: float
-    shift: float
 
 
 @dataclass(frozen=True)
@@ -248,19 +273,27 @@ class IndicatorFunctional:
     below: bool = False
 
 
-Functional = (
-    MomentFunctional | GradientNormFunctional | MixedNegativeFunctional | IndicatorFunctional
-)
+Functional = MomentFunctional | IndicatorFunctional
 
 
-def signed_power(base: np.ndarray, power: float) -> tuple[np.ndarray, int]:
-    """base**power with near-zero/negative bases rejected for negative or
-    fractional powers; returns (values-with-NaN, rejection count)."""
-    if power >= 0 and float(power).is_integer():
-        return base ** power, 0
-    bad = base < REJECT_EPS
-    out = np.where(bad, np.nan, np.power(np.where(bad, 1.0, base), power))
-    return out, int(bad.sum())
+def power_column(*factors: tuple[str, float, float]) -> Column:
+    """Column of the product of (vals[name] + shift)^power over the factors
+    (name, shift, power).  Near-zero and negative bases of negative or
+    fractional powers are rejected: the row is NaN and counted once."""
+
+    def column(vals: Mapping[str, np.ndarray]) -> tuple[np.ndarray, int]:
+        out, bad = 1.0, False
+        for name, shift, power in factors:
+            base = vals[name] + shift
+            if power >= 0 and float(power).is_integer():
+                out = out * base**power
+                continue
+            rejected = base < REJECT_EPS
+            out = out * np.where(rejected, np.nan, np.power(np.where(rejected, 1.0, base), power))
+            bad = bad | rejected
+        return out, int(np.sum(bad))
+
+    return column
 
 
 def mc_expect(
@@ -272,30 +305,19 @@ def mc_expect(
     chunk_size: int = CHUNK_SIZE,
 ) -> McEstimate:
     """Monte Carlo expectation of a catalog functional of F."""
-    needs_w = isinstance(g, (GradientNormFunctional, MixedNegativeFunctional))
-    wvec = gradient_norm_sq(F) if needs_w else None
+    if isinstance(g, MomentFunctional):
+        column = power_column(("F", g.shift, g.power))
+    elif isinstance(g, IndicatorFunctional):
 
-    def sample_chunk(gen, m):
-        Z = standard_normals(gen, (m, F.dim))
-        rejected = 0
-        if isinstance(g, MomentFunctional):
-            vals, rejected = signed_power(evaluate(F, Z) + g.shift, g.power)
-        elif isinstance(g, GradientNormFunctional):
-            vals, rejected = signed_power(evaluate(wvec, Z), g.power / 2.0)
-        elif isinstance(g, MixedNegativeFunctional):
-            v1, r1 = signed_power(evaluate(wvec, Z), -g.a)
-            v2, r2 = signed_power(evaluate(F, Z) + g.shift, -g.b)
-            vals, rejected = v1 * v2, r1 + r2
-        elif isinstance(g, IndicatorFunctional):
-            y = evaluate(F, Z) + g.shift
+        def column(vals):
+            y = vals["F"] + g.shift
             ind = (y <= g.x) if g.below else (y > g.x)
             wt = np.ones_like(y) if g.weight is None else g.weight(y)
-            vals = np.where(ind, wt, 0.0)
-        else:
-            raise TypeError(f"unknown functional {type(g).__name__}")
-        return vals, rejected
+            return np.where(ind, wt, 0.0), 0
 
-    return run_chunked(sample_chunk, n, seed, workers, chunk_size)
+    else:
+        raise TypeError(f"unknown functional {type(g).__name__}")
+    return run_pass({"F": F}, {"value": column}, n, seed, workers, chunk_size)["value"]
 
 
 # -- second chaos -----------------------------------------------------------------
@@ -328,13 +350,6 @@ class SecondChaosSpec:
 
     def variance(self) -> float:
         return 2.0 * sum(v * v for v in self.zeta)
-
-    def third_moment(self) -> float:
-        return 8.0 * sum(v**3 for v in self.zeta)
-
-    def fourth_moment(self) -> float:
-        s2 = sum(v * v for v in self.zeta)
-        return 48.0 * sum(v**4 for v in self.zeta) + 12.0 * s2 * s2
 
     def shift_gap(self) -> float:
         """alpha - sum(zeta); nonnegative keeps F + alpha > 0 almost surely."""
@@ -419,6 +434,27 @@ def _estimator_weights(vals: Mapping[str, np.ndarray], k: int) -> tuple[np.ndarr
     return np.where(bad, np.nan, g3), bad
 
 
+def density_columns(alpha: float, k: int, xs: Sequence[float]) -> dict[str, Column]:
+    """Columns "density[j]" of the order-k Malliavin density estimator of
+    F + alpha at xs[j], read from the vectors of ``estimator_vectors(F, k)``.
+
+    p^(k)(x) = (-1)^k E[1_{F+alpha>x} G_{k+1}]; the weights are computed once
+    per chunk, and rows with ||DF||^2 below REJECT_EPS are rejected in every
+    column.
+    """
+    sign = (-1.0) ** k
+
+    def column(vals, x):
+        if "G" not in vals:
+            vals["G"], vals["G_rejected"] = _estimator_weights(vals, k)
+        bad = vals["G_rejected"]
+        v = sign * np.where(vals["F"] + alpha > x, vals["G"], 0.0)
+        v[bad] = np.nan
+        return v, int(bad.sum())
+
+    return {f"density[{j}]": partial(column, x=float(x)) for j, x in enumerate(xs)}
+
+
 def density_malliavin(
     F: ChaosVector,
     alpha: float,
@@ -435,24 +471,8 @@ def density_malliavin(
     weights evaluated exactly on each sample; samples with ||DF||^2 below
     REJECT_EPS are rejected and counted.
     """
-    vecs = estimator_vectors(F, k)
-    deg = needed_degree(vecs.values())
-    xs = [float(x) for x in xs]
-    sign = (-1.0) ** k
-
-    def sample_chunk(gen, m):
-        Z = standard_normals(gen, (m, F.dim))
-        table = hermite_table(Z, deg)
-        vals = {name: evaluate(vec, Z, table) for name, vec in vecs.items()}
-        g, bad = _estimator_weights(vals, k)
-        y = vals["F"] + alpha
-        cols = np.empty((m, len(xs)))
-        for j, x in enumerate(xs):
-            cols[:, j] = sign * np.where(y > x, g, 0.0)
-        cols[bad, :] = np.nan
-        return cols, int(bad.sum())
-
-    return run_chunked_multi(sample_chunk, n, seed, len(xs), workers, chunk_size)
+    cols = density_columns(alpha, k, xs)
+    return list(run_pass(estimator_vectors(F, k), cols, n, seed, workers, chunk_size).values())
 
 
 def density_kde(
@@ -468,19 +488,14 @@ def density_kde(
     """Gaussian-kernel density estimate of F + alpha at points xs."""
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    xs = [float(x) for x in xs]
     norm = 1.0 / (bandwidth * math.sqrt(2.0 * math.pi))
 
-    def sample_chunk(gen, m):
-        Z = standard_normals(gen, (m, F.dim))
-        y = evaluate(F, Z) + alpha
-        cols = np.empty((m, len(xs)))
-        for j, x in enumerate(xs):
-            u = (x - y) / bandwidth
-            cols[:, j] = norm * np.exp(-0.5 * u * u)
-        return cols, 0
+    def column(vals, x):
+        u = (x - (vals["F"] + alpha)) / bandwidth
+        return norm * np.exp(-0.5 * u * u), 0
 
-    return run_chunked_multi(sample_chunk, n, seed, len(xs), workers, chunk_size)
+    cols = {f"kde[{j}]": partial(column, x=float(x)) for j, x in enumerate(xs)}
+    return list(run_pass({"F": F}, cols, n, seed, workers, chunk_size).values())
 
 
 # -- characteristic function oracle ------------------------------------------------

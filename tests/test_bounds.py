@@ -31,10 +31,15 @@ from chaosgamma.bounds import (
     theta_variance_expansion,
     wbar,
 )
+from chaosgamma import mc
+from chaosgamma.bounds import _variance_flag
 from chaosgamma.chaos import (
     ChaosVector,
+    evaluate,
     expectation,
+    generator_inverse,
     gradient_norm_sq,
+    malliavin_derivative,
     moment,
     second_moment,
 )
@@ -559,3 +564,158 @@ def test_positive_moment_flags_agree_across_routes():
         assert a["route"] == "mc"
         assert "signed_base_rejections" in a["flags"]
         assert a["flags"] == b["flags"]
+
+
+# -- the one Gaussian pass behind a bound -----------------------------------------------
+
+
+def reference_columns(F, alpha, rep, n, seed):
+    """Every Monte Carlo column of a report, recomputed by a plain loop: per
+    chunk one standard_normals draw on substream(seed + 3, i), then evaluate
+    per functional.  Returns label -> (mean over valid rows, mean |v|, n valid)."""
+    vectors = {"F": F, "w": gradient_norm_sq(F), "W": wbar(F)}
+    DLinv = malliavin_derivative(generator_inverse(F))
+    vectors["U"] = DLinv.inner(DLinv)
+    est_vecs = mc.estimator_vectors(F, 0)
+    vectors["V1"], vectors["V2"] = est_vecs["V1"], est_vecs["V2"]
+    exponents = {
+        f"E[(F+a)^{2.0 * p:g}]": 2.0 * p
+        for env in rep.stein_envelope.values() for p, c in env.terms if c != 0.0 and p != 0.0
+    }
+    chunks: dict[str, list[np.ndarray]] = {}
+    for i, start in enumerate(range(0, n, mc.CHUNK_SIZE)):
+        m = min(mc.CHUNK_SIZE, n - start)
+        Z = mc.standard_normals(mc.substream(seed + 3, i), (m, F.dim))
+        v = {name: evaluate(vec, Z) for name, vec in vectors.items()}
+        y = v["F"] + alpha
+
+        def neg(base, p):
+            return np.where(base < mc.REJECT_EPS, np.nan, base) ** p
+
+        def pos(base, p):
+            return base**p if float(p).is_integer() else neg(base, p)
+
+        cols = {
+            "E[w^-2]": neg(v["w"], -2.0),
+            "E[w^-3]": neg(v["w"], -3.0),
+            "E[w^-2 (F+a)^-2]": neg(v["w"], -2.0) * neg(y, -2.0),
+            "E[wbar^-2]": neg(v["W"], -2.0),
+            "E[wbar^-2 (F+a)^-2]": neg(v["W"], -2.0) * neg(y, -2.0),
+            "E[wbar^-6]": neg(v["W"], -6.0),
+            "E[||D Linv F||^3]": pos(v["U"], 1.5),
+        }
+        cols.update({label: pos(y, ex) for label, ex in exponents.items()})
+        weight = v["V1"] / v["w"] + v["V2"] / v["w"] ** 2
+        weight = np.where(v["w"] < mc.REJECT_EPS, np.nan, weight)
+        cols.update({f"density@{x:g}": np.where(y > x, weight, 0.0) for x in rep.xs()})
+        for label, vals in cols.items():
+            chunks.setdefault(label, []).append(vals[np.isfinite(vals)])
+    out = {}
+    for label, parts in chunks.items():
+        vals = np.concatenate(parts)
+        out[label] = (math.fsum(vals) / len(vals), math.fsum(np.abs(vals)) / len(vals), len(vals))
+    return out
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_one_pass_matches_per_functional_reference(route, monkeypatch):
+    zeta = np.linspace(0.62, 0.52, 14)
+    F = ChaosVector.second_chaos_diagonal(zeta)
+    alpha = second_moment(F)
+    n, seed = 20_000, 81
+    passes = []
+    run_chunked_multi = mc.run_chunked_multi
+
+    def counting(*args, **kwargs):
+        passes.append(args[1])
+        return run_chunked_multi(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "run_chunked_multi", counting)
+    rep = ROUTES[route](F, alpha, [alpha / 2, alpha, 2 * alpha], n, seed=seed)
+    assert passes == [n]
+    assert rep.meta["gaussian_passes"] == 1 and rep.meta["normal_draws"] == n * 14
+
+    ref = reference_columns(F, alpha, rep, n, seed)
+    got = dict(rep.negative_moments)
+    got.update({f"density@{x:g}": est for x, est in rep.density_mc.items()})
+    mc_positive = {k: v for k, v in rep.positive_moments.items() if v["route"] == "mc"}
+    assert mc_positive
+    checked = 0
+    for label, est in got.items():
+        mean, mean_abs, n_valid = ref[label]
+        assert est.seed == seed + 3
+        assert est.n == n_valid, label
+        assert abs(est.value - mean) <= 1e-12 * mean_abs, label
+        checked += 1
+    for label, rec in mc_positive.items():
+        mean, mean_abs, _ = ref[label]
+        assert abs(rec["value"] - mean) <= 1e-12 * mean_abs, label
+        checked += 1
+    assert checked >= 4 + 3 + len(mc_positive)
+
+
+def test_zero_defect_bound_makes_one_pass(monkeypatch):
+    passes = []
+    run_chunked_multi = mc.run_chunked_multi
+
+    def counting(*args, **kwargs):
+        passes.append(args[3])
+        return run_chunked_multi(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "run_chunked_multi", counting)
+    F = ChaosVector.second_chaos_diagonal([0.5] * 12)
+    rep = assemble_density_bound(F, 6.0, [3.0, 6.0], 5000, seed=82)
+    assert passes == [2]  # the density columns only
+    assert rep.negative_moments == {} and rep.positive_moments == {}
+
+
+# -- variance existence of the Monte Carlo columns ----------------------------------
+
+
+def test_readme_spec_flags_infinite_variance_of_w_minus_three():
+    """At 12 positive eigenvalues E[w^-6] diverges, so the E[w^-3] estimate
+    has no variance; the shift gap 0.11 > 0 keeps the other columns'."""
+    F = ChaosVector.second_chaos_diagonal([0.55, 0.55] + [0.5] * 10)
+    rep = assemble_density_bound(F, 6.21, [3.0, 6.0, 12.0], 4000, seed=83)
+    assert "infinite_variance" in rep.flags
+    for label, est in rep.negative_moments.items():
+        assert ("infinite_variance" in est.flags) == (label == "E[w^-3]"), label
+        assert "variance_unverified" not in est.flags
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_higher_chaos_negative_columns_flag_variance_unverified(route):
+    rng = np.random.default_rng(0)
+    F = ChaosVector.from_kernel(random_kernel(rng, 4, 2, scale=0.3))
+    rep = ROUTES[route](F, second_moment(F), [second_moment(F)], 4000, seed=84)
+    assert "variance_unverified" in rep.flags
+    for label, est in rep.negative_moments.items():
+        negative = label != "E[||D Linv F||^3]"
+        assert ("variance_unverified" in est.flags) == negative, label
+        assert "infinite_variance" not in est.flags
+    assert all("variance_unverified" not in r.get("flags", ()) for r in rep.positive_moments.values())
+
+
+@pytest.mark.parametrize(
+    "zeta,alpha,factors,flag",
+    [
+        # w^-a: m positive eigenvalues, variance iff m > 4a
+        ([0.5] * 12, 6.0, (("w", 0.0, -3.0),), "infinite_variance"),
+        ([0.5] * 13, 6.5, (("W", 0.0, -3.0),), None),
+        # (F+a)^-b: a positive shift gap always gives a variance ...
+        ([0.55] * 4, 2.5, (("F", 2.5, -2.0),), None),
+        # ... a zero gap needs m > 4b
+        ([0.6] * 4 + [0.2] * 4, 3.2, (("F", 3.2, -2.0),), "infinite_variance"),
+        ([0.6] * 6 + [0.3] * 6, 5.4, (("F", 5.4, -2.0),), None),
+        # mixed columns are verified only with a positive gap and m > 4a
+        ([0.55] * 12, 7.26, (("w", 0.0, -2.0), ("F", 7.26, -2.0)), None),
+        ([0.6] * 6 + [0.3] * 6, 5.4, (("w", 0.0, -2.0), ("F", 5.4, -2.0)), "variance_unverified"),
+        ([0.55] * 8, 4.84, (("w", 0.0, -2.0), ("F", 4.84, -2.0)), "variance_unverified"),
+        # no negative power, no flag; no spectrum, no proof
+        ([0.5] * 4, 2.0, (("U", 0.0, 1.5),), None),
+        (None, 1.0, (("F", 1.0, -2.0),), "variance_unverified"),
+    ],
+)
+def test_variance_flag_rule(zeta, alpha, factors, flag):
+    spectrum = None if zeta is None else np.array(zeta)
+    assert _variance_flag(spectrum, alpha, factors) == flag

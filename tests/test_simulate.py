@@ -7,14 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from chaosgamma.chaos import ChaosVector, evaluate, moment, second_moment
+from chaosgamma.bounds import even_chaos_moments
+from chaosgamma.chaos import ChaosVector, evaluate, gradient_norm_sq, moment, second_moment
 from chaosgamma.gamma import gamma_pdf
 from chaosgamma.mc import (
     CHUNK_SIZE,
-    GradientNormFunctional,
     IndicatorFunctional,
     McEstimate,
-    MixedNegativeFunctional,
     MomentFunctional,
     SecondChaosSpec,
     density_cf_oracle,
@@ -22,8 +21,10 @@ from chaosgamma.mc import (
     density_malliavin,
     estimator_vectors,
     mc_expect,
+    power_column,
     run_chunked,
     run_chunked_multi,
+    run_pass,
     substream,
 )
 
@@ -66,11 +67,49 @@ def test_run_chunked_worker_count_invariance():
 def test_run_chunked_multi_column_consistency():
     def sample_chunk(gen, m):
         z = gen.standard_normal(m)
-        return np.stack([z, z * z], axis=1), 0
+        return np.stack([z, z * z], axis=1), np.zeros(2, dtype=int)
 
     ests = run_chunked_multi(sample_chunk, 50_000, seed=6, n_columns=2, workers=2)
     assert ests[0].within(0.0, sigmas=4.0)
     assert ests[1].within(1.0, sigmas=4.0)
+
+
+def test_run_chunked_multi_rejections_per_column():
+    """Each column keeps its own rejection count: a column with rejected
+    rows is not flagged, and NaN rows a column does not count as rejected
+    stay flagged even when another column rejected more rows."""
+
+    def sample_chunk(gen, m):
+        z = gen.standard_normal(m)
+        rejected = z < 0.0
+        unexplained = np.where(z > 1.0, np.nan, z)
+        cols = np.stack([np.where(rejected, np.nan, z), z, unexplained], axis=1)
+        return cols, np.array([rejected.sum(), 0, 0])
+
+    n = 2 * CHUNK_SIZE + 100
+    rej, clean, stray = run_chunked_multi(sample_chunk, n, seed=7, n_columns=3)
+    assert 0 < rej.n_rejected == rej.n_nonfinite < n
+    assert "nonfinite_samples" not in rej.flags
+    assert clean.n_rejected == 0 and clean.n_nonfinite == 0 and clean.flags == ()
+    assert stray.n_rejected == 0 < stray.n_nonfinite < rej.n_rejected
+    assert "nonfinite_samples" in stray.flags
+
+
+def test_run_chunked_multi_requires_one_count_per_column():
+    def sample_chunk(gen, m):
+        return np.zeros((m, 2)), 0
+
+    with pytest.raises(ValueError, match="shapes"):
+        run_chunked_multi(sample_chunk, 100, seed=8, n_columns=2)
+
+
+def test_power_column_counts_each_rejected_row_once():
+    """A row where several bases are rejected is one rejected row."""
+    F = ChaosVector.gaussian([1.0])
+    col = power_column(("F", 0.0, -1.0), ("F", 0.0, -3.0))
+    est = run_pass({"F": F}, {"c": col}, 20_000, seed=9)["c"]
+    assert 0 < est.n_rejected == est.n_nonfinite < 20_000
+    assert "nonfinite_samples" not in est.flags
 
 
 def test_mc_estimate_serialization_and_within():
@@ -107,7 +146,8 @@ def test_gradient_norm_functional_positive_power():
     spec = perturbed_spec(13)
     F = spec.chaos_vector()
     # ||DF||^2 = 4 sum zeta_i^2 z_i^2 has mean 4 sum zeta_i^2
-    est = mc_expect(F, GradientNormFunctional(2.0), 150_000, seed=14)
+    col = power_column(("w", 0.0, 1.0))
+    est = run_pass({"w": gradient_norm_sq(F)}, {"E[w]": col}, 150_000, seed=14)["E[w]"]
     want = 4.0 * sum(z * z for z in spec.zeta)
     assert est.within(want, sigmas=4.0)
 
@@ -126,7 +166,9 @@ def test_signed_power_rejections_are_counted():
 def test_mixed_negative_functional_runs():
     spec = perturbed_spec(16)
     F = spec.chaos_vector()
-    est = mc_expect(F, MixedNegativeFunctional(2.0, 2.0, spec.alpha), 100_000, seed=17)
+    vectors = {"F": F, "w": gradient_norm_sq(F)}
+    col = power_column(("w", 0.0, -2.0), ("F", spec.alpha, -2.0))
+    est = run_pass(vectors, {"mixed": col}, 100_000, seed=17)["mixed"]
     assert est.value > 0
     assert est.n > 0
 
@@ -148,8 +190,9 @@ def test_spec_moments_match_engine():
     spec = perturbed_spec(21)
     F = spec.chaos_vector()
     assert spec.variance() == pytest.approx(second_moment(F), rel=1e-12)
-    assert spec.third_moment() == pytest.approx(moment(F, 3), rel=1e-12)
-    assert spec.fourth_moment() == pytest.approx(moment(F, 4), rel=1e-12)
+    spectral = even_chaos_moments(F, spec.alpha)
+    assert spectral["EF3"] == pytest.approx(moment(F, 3), rel=1e-12)
+    assert spectral["EF4"] == pytest.approx(moment(F, 4), rel=1e-12)
 
 
 def test_spec_negative_moment_criterion():
