@@ -35,6 +35,7 @@ import numpy as np
 
 from .chaos import (
     DEFAULT_MAX_ORDER,
+    SPECTRUM_TOL,
     ChaosVector,
     expectation,
     generator_inverse,
@@ -42,6 +43,8 @@ from .chaos import (
     malliavin_derivative,
     moment,
     multiply,
+    negative_moment_exists,
+    second_chaos_eigenvalues,
     second_moment,
     wbar,
 )
@@ -50,7 +53,6 @@ from .mc import (
     CHUNK_SIZE,
     McEstimate,
     MomentFunctional,
-    SecondChaosSpec,
     density_columns,
     estimator_vectors,
     mc_expect,
@@ -89,12 +91,6 @@ __all__ = [
 ]
 
 _ALPHA_TOL = 1e-9
-_SPECTRUM_TOL = 1e-12
-
-# The mixed negative moment E[w^-2 (F+a)^-2] is handled through
-# Cauchy-Schwarz, so the binding existence requirement on a second-chaos
-# spectrum is E[(F+a)^-4]: strictly more than 8 positive eigenvalues.
-_MIN_POSITIVE_EIGENVALUES = 9
 
 
 def _fact(n: int) -> float:
@@ -560,17 +556,6 @@ def dtheta_identity_check(f: SymTensor, tol: float = 1e-12) -> bool:
 # -- moment machinery ---------------------------------------------------------------
 
 
-def second_chaos_eigenvalues(F: ChaosVector) -> np.ndarray | None:
-    """Spectrum of the order-2 kernel when F is pure second chaos, else None.
-
-    F = sum_i zeta_i (Y_i^2 - 1) in the eigenbasis, so every moment and
-    cumulant of F is a closed function of the returned eigenvalues.
-    """
-    if not F.is_pure_chaos() or F.top_order != 2:
-        return None
-    return np.linalg.eigvalsh(F.kernel(2).to_dense())
-
-
 def _moments_from_cumulants(kappa: list[float], p: int) -> float:
     """E[X^p] from cumulants kappa[0] = k_1, ... via the standard recursion."""
     m = [1.0]
@@ -640,17 +625,16 @@ def even_chaos_moments(F: ChaosVector, alpha: float) -> dict:
 
     Returns alpha, q, E[F] ("EF"), E[F^2] ("EF2"), E[F^3] ("EF3"),
     E[F^4] ("EF4"), fourth_moment_combo and theta_var = E[Theta^2].  E[F^3]
-    and E[F^4] are closed spectral sums in the second chaos and exact chaos
-    products otherwise; each is built once.
+    and E[F^4] come from the spectral cumulants in the second chaos and
+    exact chaos products otherwise; each is built once.
     """
     q = _pure_even_order(F)
     _check_alpha(F, alpha)
     Fb = F.with_budget(max(F.max_order, 4 * q))
     zeta = second_chaos_eigenvalues(F)
     if zeta is not None:
-        m3 = 8.0 * float(np.sum(zeta**3))
-        s2 = float(np.sum(zeta**2))
-        m4 = 48.0 * float(np.sum(zeta**4)) + 12.0 * s2 * s2
+        m3 = _second_chaos_shifted_moment(zeta, 0.0, 3)
+        m4 = _second_chaos_shifted_moment(zeta, 0.0, 4)
     else:
         m3 = moment(Fb, 3)
         m4 = moment(Fb, 4)
@@ -778,60 +762,58 @@ def _validate_xs(xs, alpha: float) -> list[float]:
     return pts
 
 
-def _variance_flag(zeta: np.ndarray | None, alpha: float, factors: tuple) -> str | None:
-    """Whether the Monte Carlo column E[w^-a (F+alpha)^-b] with these
-    ``power_column`` factors has a variance, w being ||DF||^2 or wbar.
-
-    The variance needs E[w^-2a (F+alpha)^-2b] < inf.  For pure second chaos
-    the rule of ``SecondChaosSpec.negative_moment_finite`` decides E[w^-2a],
-    and E[(F+alpha)^-2b] at shift gap 0; a positive gap keeps F + alpha away
-    from 0.  Returns "infinite_variance" when the rule proves the variance
-    infinite, "variance_unverified" when it decides nothing, else None.
-    """
+def _negative_powers(factors: tuple) -> tuple[float, float]:
+    """(a, b) of the column E[w^-a (F+alpha)^-b] with these ``power_column``
+    factors, w being ||DF||^2 or wbar."""
     a = sum(-p for name, _, p in factors if name != "F" and p < 0)
     b = sum(-p for name, _, p in factors if name == "F" and p < 0)
+    return a, b
+
+
+def _variance_flag(zeta: np.ndarray | None, alpha: float, factors: tuple) -> str | None:
+    """None when the Monte Carlo column with these ``power_column`` factors
+    has a variance, that is E[w^-2a (F+alpha)^-2b] < inf by
+    ``negative_moment_exists``; "infinite_variance" when the rule refutes it,
+    "variance_unverified" when it decides nothing or there is no spectrum."""
+    a, b = _negative_powers(factors)
     if a == b == 0:
         return None
     if zeta is None:
         return "variance_unverified"
-    spec = SecondChaosSpec(tuple(sorted(zeta[zeta > _SPECTRUM_TOL], reverse=True)), alpha)
-    gap = spec.shift_gap() > _SPECTRUM_TOL
-    if b == 0:
-        return None if spec.negative_moment_finite(2 * a) else "infinite_variance"
-    if a == 0:
-        return None if gap or spec.negative_moment_finite(2 * b) else "infinite_variance"
-    return None if gap and spec.negative_moment_finite(2 * a) else "variance_unverified"
+    exists = negative_moment_exists(zeta, alpha, 2 * a, 2 * b)
+    if exists is None:
+        return "variance_unverified"
+    return None if exists else "infinite_variance"
 
 
-def _refuse_spectrum(F: ChaosVector, alpha: float) -> np.ndarray | None:
-    """Spectrum of a pure second-chaos F, or None for any other F.
-
-    Refuses a spectrum that cannot support the prefactor's negative moments:
-    a negative eigenvalue or a negative shift gap alpha - sum(zeta) lets
-    F + alpha reach zero with positive density, and E[(F+alpha)^-4] needs
-    more than 8 positive eigenvalues.
-    """
-    zeta = second_chaos_eigenvalues(F)
-    if zeta is None:
-        return None
-    if np.any(zeta < -_SPECTRUM_TOL):
+def _refuse_spectrum(zeta: np.ndarray, alpha: float, columns: Mapping[str, tuple]) -> None:
+    """Refuses a second-chaos spectrum on which the mean of a Monte Carlo
+    column may not exist: a negative eigenvalue or shift gap lets F + alpha
+    reach zero with positive density, and ``negative_moment_exists`` must
+    certify every column, a mixed one E[w^-a (F+alpha)^-b] through
+    Cauchy-Schwarz by E[w^-2a] and E[(F+alpha)^-2b]."""
+    if np.any(zeta < -SPECTRUM_TOL):
         raise ValueError(
             "the second-chaos spectrum has negative eigenvalues, so F + alpha"
             " crosses zero with positive density and E[(F+alpha)^-2] diverges"
         )
     gap = alpha - float(np.sum(zeta))
-    if gap < -_SPECTRUM_TOL:
+    if gap < -SPECTRUM_TOL:
         raise ValueError(
             f"shift gap alpha - sum(zeta) = {gap!r} is negative, so F + alpha"
             " is not almost surely nonnegative and the negative moments diverge"
         )
-    n_pos = int(np.sum(zeta > _SPECTRUM_TOL))
-    if n_pos < _MIN_POSITIVE_EIGENVALUES:
-        raise ValueError(
-            "the prefactor needs negative moments up to E[(F+alpha)^-4], which"
-            f" require more than 8 positive eigenvalues; this spectrum has {n_pos}"
-        )
-    return zeta
+    for label, factors in columns.items():
+        a, b = _negative_powers(factors)
+        for ca, cb in ((2 * a, 0.0), (0.0, 2 * b)) if a and b else ((a, b),):
+            if not negative_moment_exists(zeta, alpha, ca, cb):
+                need = f"E[w^-{ca:g}]" if cb == 0 else f"E[(F+alpha)^-{cb:g}]"
+                raise ValueError(
+                    f"the Monte Carlo column {label} needs {need} < inf, which takes"
+                    f" more than {2 * (ca + cb):g} nonzero eigenvalues"
+                    f"{' or a positive shift gap' if cb else ''}; this spectrum has"
+                    f" {int(np.sum(zeta > SPECTRUM_TOL))} positive eigenvalues"
+                )
 
 
 def _assemble_bound(
@@ -848,41 +830,44 @@ def _assemble_bound(
 ) -> BoundReport:
     """The assembly both density bounds share.
 
-    Validates alpha, F and xs, refuses unsupported second-chaos spectra
-    (flagging existence as unverified when F is not pure second chaos), and
-    calls ``route_terms(zeta, flags)`` for what is the route's own.  That
-    call may add flags and returns (defect factor, extra BoundReport fields,
-    vectors, columns, weight_terms): the route's Monte Carlo columns
-    (label -> ``mc.power_column`` factors), the ChaosVectors they read beyond
-    ``mc.estimator_vectors(F, 0)``, and ``weight_terms(means)``, the
-    gradient-weight terms of the prefactor from the columns' clamped means.
-    Columns None mean the defect vanishes exactly and the bound is zero.
-    The bound at x is
+    Validates alpha, F and xs, and calls ``route_terms(flags)`` for what is
+    the route's own.  That call may add flags and returns (defect factor,
+    extra BoundReport fields, vectors, columns, weight_terms): the route's
+    Monte Carlo columns (label -> ``mc.power_column`` factors), the
+    ChaosVectors they read beyond ``mc.estimator_vectors(F, 0)``, and
+    ``weight_terms(means)``, the gradient-weight terms of the prefactor from
+    the columns' clamped means, or None when the defect vanishes exactly and
+    the bound is zero.  The bound at x is
 
         (sum of envelope terms coeff * E[(F+alpha)^(2 power)]^(1/2)
          + gradient-weight terms) * defect factor.
 
     The plan collects the exponents the envelopes need, in order of first
     use; a positive one with an exact route takes it, every other one is a
-    column.  Every Monte Carlo number of the report (these columns and the
-    density at each x) comes from one ``mc.run_pass`` at seed + 3.  Columns
-    and report carry the flags of ``_variance_flag``.
+    column.  ``_refuse_spectrum`` checks all columns on a second-chaos F;
+    otherwise existence is flagged as unverified.  Every Monte Carlo number
+    of the report (these columns and the density at each x) comes from one
+    ``mc.run_pass`` at seed + 3.  Columns and report carry the flags of
+    ``_variance_flag``.
     """
     _check_alpha(F, alpha)
     pts = _validate_xs(xs, alpha)
-    zeta = _refuse_spectrum(F, alpha)
+    zeta = second_chaos_eigenvalues(F)
     if zeta is None:
         flags.append("negative_moment_existence_unverified")
-    factor, fields, vectors, columns, weight_terms = route_terms(zeta, flags)
+    factor, fields, vectors, columns, weight_terms = route_terms(flags)
 
     envs = {x: envelope(alpha, 0, x) for x in pts}
     label = "E[(F+a)^{:g}]".format
-    plan = {} if columns is None else {
+    plan = {} if weight_terms is None else {
         label(2.0 * p): 2.0 * p for x in pts for p, c in envs[x].terms if c != 0.0 and p != 0.0
     }
     exact = {k: _exact_positive_moment(F, alpha, ex) for k, ex in plan.items() if ex >= 0}
-    columns = dict(columns or {})
     columns.update((k, (("F", alpha, ex),)) for k, ex in plan.items() if exact.get(k) is None)
+    if zeta is not None:
+        _refuse_spectrum(zeta, alpha, columns)
+    if weight_terms is None:
+        columns = {}
     mc_columns = {k: power_column(*fac) for k, fac in columns.items()}
     ests = run_pass(
         {**estimator_vectors(F, 0), **vectors},
@@ -968,13 +953,13 @@ def assemble_density_bound(
     Carlo; positive moments go through exact routes whenever one exists.
 
     Second-chaos inputs are refused when the spectrum cannot support the
-    negative moments (needs at least 9 positive eigenvalues and a
+    negative moments (here: at least 9 positive eigenvalues and a
     nonnegative shift gap alpha - sum zeta_i); for higher orders the
     existence is flagged as unverified instead.
     """
     q = _pure_even_order(F)
 
-    def route_terms(zeta, flags):
+    def route_terms(flags):
         moments = even_chaos_moments(F, alpha)
         combo = moments["fourth_moment_combo"]
         if combo < -1e-9 * max(1.0, alpha * alpha):
@@ -987,8 +972,6 @@ def assemble_density_bound(
             "c1": c1,
             "meta": {"radical": radical},
         }
-        if radical == 0.0:
-            return radical, fields, {}, None, None
         columns = {
             "E[w^-2]": (("w", 0.0, -2.0),),
             "E[w^-3]": (("w", 0.0, -3.0),),
@@ -1002,7 +985,7 @@ def assemble_density_bound(
                 + c1 * math.sqrt(m["E[w^-3]"])
             )
 
-        return radical, fields, {}, columns, weight_terms
+        return radical, fields, {}, columns, weight_terms if radical else None
 
     return _assemble_bound(
         "chaos-moment", F, alpha, xs, n, seed, workers, chunk_size, route_terms, []
@@ -1036,21 +1019,14 @@ def assemble_general_bound(
     that endpoint's constant is not certified.
 
     Pure second-chaos inputs are refused when the spectrum cannot support
-    the negative moments (E[wbar^-6] needs more than 12 nonzero
-    eigenvalues, the mixed term more than 8 positive ones and a
-    nonnegative shift gap); otherwise existence is flagged as unverified.
+    the negative moments (here: E[wbar^-6] needs more than 12 nonzero
+    eigenvalues, the mixed term a nonnegative shift gap); otherwise
+    existence is flagged as unverified.
     """
     if s not in (4, 8, 12):
         raise ValueError(f"s must be one of 4, 8, 12; got {s}")
 
-    def route_terms(zeta, flags):
-        if zeta is not None:
-            n_nonzero = int(np.sum(np.abs(zeta) > _SPECTRUM_TOL))
-            if n_nonzero < 13:
-                raise ValueError(
-                    "E[wbar^-6] for a second-chaos element is finite only with more"
-                    f" than 12 nonzero eigenvalues; this spectrum has {n_nonzero}"
-                )
+    def route_terms(flags):
         W = wbar(F)
         ew = expectation(W)
         if abs(ew - alpha) > _ALPHA_TOL * max(1.0, alpha):

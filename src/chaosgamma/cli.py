@@ -70,6 +70,7 @@ from .bounds import (
 from .chaos import (
     ChaosVector,
     OrderBudgetError,
+    SecondChaosSpec,
     carre_du_champ,
     divergence,
     eval_jet,
@@ -82,7 +83,7 @@ from .chaos import (
     second_moment,
 )
 from .gamma import gamma_pdf_deriv
-from .mc import SecondChaosSpec, density_malliavin
+from .mc import density_malliavin
 from .stein import envelope, solve
 from .tensors import SymTensor, symmetrize
 

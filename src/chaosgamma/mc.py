@@ -21,6 +21,7 @@ from scipy.special import gammaincinv, ndtri
 
 from .chaos import (
     ChaosVector,
+    SecondChaosSpec,
     carre_du_champ,
     evaluate,
     generator,
@@ -262,15 +263,11 @@ class MomentFunctional:
 
 @dataclass(frozen=True)
 class IndicatorFunctional:
-    """E[1_{F + shift > x} weight(F + shift)]; weight None means 1.
-
-    ``below=True`` flips the indicator to 1_{F + shift <= x}.
-    """
+    """E[1_{F + shift > x} weight(F + shift)]; weight None means 1."""
 
     x: float
     shift: float = 0.0
     weight: Callable[[np.ndarray], np.ndarray] | None = None
-    below: bool = False
 
 
 Functional = MomentFunctional | IndicatorFunctional
@@ -311,73 +308,12 @@ def mc_expect(
 
         def column(vals):
             y = vals["F"] + g.shift
-            ind = (y <= g.x) if g.below else (y > g.x)
             wt = np.ones_like(y) if g.weight is None else g.weight(y)
-            return np.where(ind, wt, 0.0), 0
+            return np.where(y > g.x, wt, 0.0), 0
 
     else:
         raise TypeError(f"unknown functional {type(g).__name__}")
     return run_pass({"F": F}, {"value": column}, n, seed, workers, chunk_size)["value"]
-
-
-# -- second chaos -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SecondChaosSpec:
-    """F = sum_i zeta_i (Z_i^2 - 1) with non-increasing positive weights,
-    approximated against a Gamma(alpha) target via the shift F + alpha."""
-
-    zeta: tuple[float, ...]
-    alpha: float
-
-    def __post_init__(self) -> None:
-        z = tuple(float(v) for v in self.zeta)
-        if not z:
-            raise ValueError("zeta must be non-empty")
-        if any(v <= 0 for v in z):
-            raise ValueError("zeta entries must be positive")
-        if any(z[i] < z[i + 1] for i in range(len(z) - 1)):
-            raise ValueError("zeta must be non-increasing")
-        object.__setattr__(self, "zeta", z)
-        object.__setattr__(self, "alpha", float(self.alpha))
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-
-    @property
-    def dim(self) -> int:
-        return len(self.zeta)
-
-    def variance(self) -> float:
-        return 2.0 * sum(v * v for v in self.zeta)
-
-    def shift_gap(self) -> float:
-        """alpha - sum(zeta); nonnegative keeps F + alpha > 0 almost surely."""
-        return self.alpha - sum(self.zeta)
-
-    def matches_variance(self, tol: float = 1e-9) -> bool:
-        return abs(self.alpha - self.variance()) <= tol
-
-    def chaos_vector(self, max_order: int | None = None) -> ChaosVector:
-        if max_order is None:
-            return ChaosVector.second_chaos_diagonal(self.zeta)
-        return ChaosVector.second_chaos_diagonal(self.zeta, max_order)
-
-    def negative_moment_finite(self, p: float) -> bool:
-        """Whether E[(F+alpha)^{-p}] (equivalently E[||DF||^{-2p}]) is finite.
-
-        A quadratic form with m positive weights has P(S < eps) of order
-        eps^{m/2}, so the -p moment exists iff m > 2p.  Requires the shift
-        gap to be nonnegative for the F + alpha version.
-        """
-        return len(self.zeta) > 2.0 * p and self.shift_gap() >= -1e-12
-
-    def to_json_dict(self) -> dict:
-        return {"zeta": list(self.zeta), "alpha": self.alpha}
-
-    @staticmethod
-    def from_json_dict(doc: Mapping) -> "SecondChaosSpec":
-        return SecondChaosSpec(tuple(doc["zeta"]), float(doc["alpha"]))
 
 
 # -- Malliavin density estimator ---------------------------------------------------
@@ -397,9 +333,7 @@ def estimator_vectors(F: ChaosVector, k: int) -> dict[str, ChaosVector]:
         raise ValueError("density derivative order k must be in 0..2")
     w = gradient_norm_sq(F)
     v1 = generator(F).scale(-1.0)
-    out = {"F": F, "w": w, "V1": v1}
-    if k >= 0:
-        out["V2"] = carre_du_champ(w, F)
+    out = {"F": F, "w": w, "V1": v1, "V2": carre_du_champ(w, F)}
     if k >= 1:
         out["V3"] = carre_du_champ(out["V1"], F)
         out["V4"] = carre_du_champ(out["V2"], F)

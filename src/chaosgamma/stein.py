@@ -25,15 +25,16 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gammainc, gammaincc, gammaln
 
-from .chaos import ChaosVector, expectation, second_moment, wbar
-from .gamma import gamma_pdf_deriv, nu_weight, signed_products
-from .mc import (
-    CHUNK_SIZE,
-    IndicatorFunctional,
-    McEstimate,
-    SecondChaosSpec,
-    mc_expect,
+from .chaos import (
+    ChaosVector,
+    expectation,
+    negative_moment_exists,
+    second_chaos_eigenvalues,
+    second_moment,
+    wbar,
 )
+from .gamma import gamma_pdf_deriv, nu_weight, signed_products
+from .mc import CHUNK_SIZE, McEstimate, run_pass
 
 __all__ = [
     "SteinSolution",
@@ -589,47 +590,42 @@ def stein_discrepancy(
     seed: int,
     workers: int = 1,
     chunk_size: int = CHUNK_SIZE,
-    spec_hint: "SecondChaosSpec | None" = None,
 ) -> SteinDiscrepancy:
     """Monte Carlo left side |E h(F+alpha) - E h(G)| against the product
     bound sqrt(E env(F+alpha)^2) * E[(F+alpha - <DF, -DL^{-1}F>)^2]^{1/2},
     with the quadratic mismatch computed exactly in the chaos engine.
 
-    When a second-chaos spec is supplied the envelope-moment existence is
-    prechecked: the squared envelope contains |F+alpha|^(-2p) terms whose
-    expectation requires more than 2*(2p) positive spectral weights.
+    Both Monte Carlo means come from one Gaussian pass at ``seed``.  When F
+    is pure second chaos the envelope-moment existence is prechecked on its
+    spectrum: the squared envelope contains |F+alpha|^(-2p) terms, and
+    ``negative_moment_exists`` must certify the worst of them.
     """
     br = _check_branch(alpha, k, x)
     if abs(expectation(F)) > 1e-9:
         raise ValueError("F must be centered")
     if abs(second_moment(F) - alpha) > 1e-6 * max(1.0, alpha):
         raise ValueError("F must have second moment alpha")
-    if spec_hint is not None:
-        env_probe = envelope(alpha, k, x)
-        worst = -2.0 * min(p for p, _ in env_probe.terms)
-        if worst > 0 and not spec_hint.negative_moment_finite(worst):
-            raise ValueError(
-                f"envelope moment E[(F+alpha)^(-{worst:g})] is not finite for "
-                f"this spectrum: need more than {2 * worst:g} positive "
-                f"weights, have {spec_hint.dim}"
-            )
+    env = envelope(alpha, k, x)
+    zeta = second_chaos_eigenvalues(F)
+    worst = -2.0 * min(p for p, _ in env.terms)
+    if zeta is not None and not negative_moment_exists(zeta, alpha, 0.0, worst):
+        raise ValueError(
+            f"envelope moment E[(F+alpha)^(-{worst:g})] is not finite for this"
+            " spectrum: it needs nonnegative eigenvalues and either a positive"
+            f" shift gap or more than {2 * worst:g} positive eigenvalues"
+        )
     eh = float(gamma_pdf_deriv(alpha, k, x)) if br == "positive" else 0.0
 
     mismatch = (F + alpha) - wbar(F)
     l2 = math.sqrt(max(second_moment(mismatch), 0.0))
 
-    nu_fn = lambda y: nu_weight(alpha, k + 1, y)
-    if br == "positive":
-        h = IndicatorFunctional(x=x, shift=alpha, weight=nu_fn)
-    elif br == "negative":
-        h = IndicatorFunctional(x=x, shift=alpha, weight=nu_fn, below=True)
-    else:
-        h = IndicatorFunctional(x=0.0, shift=alpha, weight=nu_fn, below=True)
-    lhs_est = mc_expect(F, h, n, seed, workers, chunk_size)
+    def h(vals):
+        y = vals["F"] + alpha
+        ind = (y > x) if br == "positive" else (y <= x)
+        return np.where(ind, nu_weight(alpha, k + 1, y), 0.0), 0
 
-    env = envelope(alpha, k, x)
-    env_sq = IndicatorFunctional(
-        x=-math.inf, shift=alpha, weight=lambda y: env.bound(y) ** 2
-    )
-    env_est = mc_expect(F, env_sq, n, seed + 1, workers, chunk_size)
-    return SteinDiscrepancy(alpha, k, float(x), lhs_est, eh, env_est, l2)
+    def env_sq(vals):
+        return env.bound(vals["F"] + alpha) ** 2, 0
+
+    ests = run_pass({"F": F}, {"h": h, "env": env_sq}, n, seed, workers, chunk_size)
+    return SteinDiscrepancy(alpha, k, float(x), ests["h"], eh, ests["env"], l2)

@@ -454,12 +454,34 @@ ROUTES = {"chaos-moment": assemble_density_bound, "malliavin-general": assemble_
         ([0.6] * 10 + [-0.2], "negative eigenvalues"),
         ([0.3] * 12, "shift gap"),
         ([0.5] * 8, "positive eigenvalues"),
+        ([0.55] * 8, "positive eigenvalues"),
     ],
 )
 def test_spectrum_refusals(route, zeta, message):
     F = ChaosVector.second_chaos_diagonal(zeta)
     with pytest.raises(ValueError, match=message):
         ROUTES[route](F, second_moment(F), [1.0], 1000, seed=64)
+
+
+@pytest.mark.parametrize(
+    "route,zeta,message",
+    [
+        ("chaos-moment", [0.6, 0.2] * 4 + [0.5], None),  # m = 9 at shift gap 0
+        ("chaos-moment", [0.55] * 9, None),  # m = 9 at a positive gap
+        ("malliavin-general", [0.55] * 12, "nonzero eigenvalues"),
+        ("malliavin-general", [0.55] * 13, None),
+    ],
+)
+def test_spectrum_refusal_boundaries(route, zeta, message):
+    F = ChaosVector.second_chaos_diagonal(zeta)
+    alpha = second_moment(F)
+    if message is not None:
+        with pytest.raises(ValueError, match=message):
+            ROUTES[route](F, alpha, [1.0], 1000, seed=65)
+        return
+    rep = ROUTES[route](F, alpha, [1.0], 1000, seed=65)
+    assert math.isfinite(rep.bound[1.0])
+    assert "negative_moment_existence_unverified" not in rep.flags
 
 
 def test_density_bound_refusals():

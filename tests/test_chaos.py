@@ -30,6 +30,7 @@ from chaosgamma.chaos import (
     malliavin_derivative,
     moment,
     multiply,
+    negative_moment_exists,
     second_moment,
 )
 from chaosgamma.tensors import SymTensor, symmetrize, tensor_from_dense
@@ -274,3 +275,34 @@ def test_kernel_order_validation():
         ChaosVector(dim=2, constant=0.0, kernels={0: SymTensor(0, 2, {(): 1.0})})
     with pytest.raises(ValueError):
         ChaosVector(dim=2, constant=0.0, kernels={2: SymTensor(2, 3, {(0, 1): 1.0})})
+
+
+@pytest.mark.parametrize(
+    "zeta,alpha,a,b,finite",
+    [
+        # E[w^-a] needs more than 2a nonzero eigenvalues, whatever their sign
+        ([0.5] * 12, 6.0, 6.0, 0.0, False),
+        ([0.5] * 13, 6.5, 6.0, 0.0, True),
+        ([0.5] * 4 + [0.0] * 3, 2.0, 2.0, 0.0, False),
+        ([0.6] * 4 + [-0.2], 3.0, 2.0, 0.0, True),
+        # E[(F+alpha)^-b]: a positive gap is enough, even with few eigenvalues ...
+        ([0.55] * 4, 2.5, 0.0, 3.0, True),
+        # ... a zero gap needs more than 2b positive eigenvalues ...
+        ([0.5] * 3, 1.5, 0.0, 2.0, False),
+        ([0.6] * 4 + [0.2] * 4, 3.2, 0.0, 4.0, False),
+        ([0.6] * 6 + [0.3] * 6, 5.4, 0.0, 4.0, True),
+        # ... and a negative gap or eigenvalue makes every b > 0 diverge
+        ([0.3] * 12, 3.0, 0.0, 1.0, False),
+        ([0.6] * 10 + [-0.2], 10.0, 0.0, 1.0, False),
+        # mixed: a positive gap and m > 2a prove it, a sign failure refutes it,
+        # anything else is undecided
+        ([0.55] * 12, 7.26, 2.0, 2.0, True),
+        ([0.6] * 6 + [0.3] * 6, 5.4, 2.0, 2.0, None),
+        ([0.55] * 8, 4.84, 4.0, 4.0, None),
+        ([0.3] * 12, 3.0, 2.0, 2.0, False),
+        # no negative power
+        ([0.5], 0.5, 0.0, 0.0, True),
+    ],
+)
+def test_negative_moment_existence_rule(zeta, alpha, a, b, finite):
+    assert negative_moment_exists(np.array(zeta), alpha, a, b) is finite

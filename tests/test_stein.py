@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from chaosgamma.chaos import ChaosVector
 from chaosgamma.gamma import gamma_pdf_deriv, nu_weight
 from chaosgamma.mc import SecondChaosSpec
+from chaosgamma.tensors import symmetrize
 from chaosgamma.stein import (
     SteinEnvelope,
     envelope,
@@ -150,7 +151,7 @@ def test_stein_discrepancy_dominated_for_second_chaos():
     zeta = [0.55] + [0.5] * 11
     spec = SecondChaosSpec(zeta=tuple(zeta), alpha=float(2 * sum(z * z for z in zeta)))
     F = ChaosVector.second_chaos_diagonal(zeta)
-    disc = stein_discrepancy(F, spec.alpha, 0, spec.alpha, n=60_000, seed=19, spec_hint=spec)
+    disc = stein_discrepancy(F, spec.alpha, 0, spec.alpha, n=60_000, seed=19)
     assert disc.rhs >= 0
     assert disc.dominated(sigmas=4.0)
 
@@ -160,4 +161,18 @@ def test_stein_discrepancy_refuses_thin_spectrum():
     spec = SecondChaosSpec(zeta=tuple(zeta), alpha=float(2 * sum(z * z for z in zeta)))
     F = ChaosVector.second_chaos_diagonal(zeta)
     with pytest.raises(ValueError):
-        stein_discrepancy(F, spec.alpha, 1, spec.alpha, n=1000, seed=20, spec_hint=spec)
+        stein_discrepancy(F, spec.alpha, 1, spec.alpha, n=1000, seed=20)
+
+
+def test_stein_discrepancy_prechecks_the_spectrum_of_f():
+    """The precheck reads the spectrum of F itself: a thin zero-gap spectrum
+    given as a rotated dense kernel is refused, while a thin spectrum with a
+    positive shift gap keeps every E[(F+alpha)^-p] finite and runs."""
+    rng = np.random.default_rng(21)
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    F = ChaosVector.from_kernel(symmetrize(rot @ np.diag([0.5] * 3) @ rot.T))
+    with pytest.raises(ValueError, match="not finite"):
+        stein_discrepancy(F, 1.5, 1, 1.5, n=1000, seed=21)
+    G = ChaosVector.second_chaos_diagonal([0.55] * 4)  # alpha 2.42, gap 0.22
+    disc = stein_discrepancy(G, 2.42, 1, 2.42, n=2000, seed=22)
+    assert math.isfinite(disc.lhs) and disc.envelope_moment.n == 2000
