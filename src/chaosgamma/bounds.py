@@ -42,6 +42,7 @@ from .chaos import (
     gradient_norm_sq,
     malliavin_derivative,
     moment,
+    moment_order,
     multiply,
     negative_moment_exists,
     second_chaos_eigenvalues,
@@ -585,8 +586,8 @@ def _exact_positive_moment(F: ChaosVector, alpha: float, exponent: float) -> tup
         zeta = second_chaos_eigenvalues(F)
         if zeta is not None:
             return _second_chaos_shifted_moment(zeta, alpha, e_int), "spectral"
-        if F.top_order * e_int <= 12:
-            budget = max(F.max_order, F.top_order * e_int)
+        if moment_order(F, e_int) <= 12:
+            budget = max(F.max_order, moment_order(F, e_int))
             return moment((F + float(alpha)).with_budget(budget), e_int), "chaos-product"
     return None
 
@@ -604,9 +605,9 @@ def shifted_positive_moment(
     exact method available.
 
     Routes: "trivial" (exponent 0), "spectral" (second chaos, integer
-    exponent, exact cumulants), "chaos-product" (integer exponent with a
-    feasible product order), "mc" otherwise.  Returns (value, route,
-    estimate-or-None).
+    exponent, exact cumulants), "chaos-product" (integer exponent e whose
+    half power (F + alpha)^ceil(e/2) has chaos order at most 12), "mc"
+    otherwise.  Returns (value, route, estimate-or-None).
     """
     if exponent < 0:
         raise ValueError("exponent must be nonnegative; negative moments go through MC")
@@ -626,11 +627,12 @@ def even_chaos_moments(F: ChaosVector, alpha: float) -> dict:
     Returns alpha, q, E[F] ("EF"), E[F^2] ("EF2"), E[F^3] ("EF3"),
     E[F^4] ("EF4"), fourth_moment_combo and theta_var = E[Theta^2].  E[F^3]
     and E[F^4] come from the spectral cumulants in the second chaos and
-    exact chaos products otherwise; each is built once.
+    from ``chaos.moment`` (F^2 through the isometry) otherwise; each is
+    built once.
     """
     q = _pure_even_order(F)
     _check_alpha(F, alpha)
-    Fb = F.with_budget(max(F.max_order, 4 * q))
+    Fb = F.with_budget(max(F.max_order, moment_order(F, 4)))
     zeta = second_chaos_eigenvalues(F)
     if zeta is not None:
         m3 = _second_chaos_shifted_moment(zeta, 0.0, 3)
@@ -1035,9 +1037,8 @@ def assemble_general_bound(
         diff = malliavin_derivative(W) - malliavin_derivative(F)
         gsq = diff.inner(diff)
         e_def = s // 4
-        gsq_b = gsq.with_budget(max(gsq.max_order, gsq.top_order * e_def))
-        defect_moment = moment(gsq_b, e_def) if e_def > 1 else expectation(gsq_b)
-        defect_moment = max(defect_moment, 0.0)
+        gsq_b = gsq.with_budget(max(gsq.max_order, moment_order(gsq, e_def)))
+        defect_moment = max(moment(gsq_b, e_def), 0.0)
 
         DLinv = malliavin_derivative(generator_inverse(F))
         columns = {

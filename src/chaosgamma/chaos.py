@@ -20,12 +20,15 @@ holds exactly, and all operators below are exact kernel manipulations:
 * ``divergence`` — delta(u) = sum_j (Z_j u_j - D_j u_j) for a smooth field u;
 * ``generator``/``generator_inverse`` — L = -n and its pseudo-inverse -1/n on
   chaos n, the inverse acting on the centered part;
-* ``carre_du_champ`` — Gamma(F, G) = <DF, DG>.
+* ``carre_du_champ`` — Gamma(F, G) = <DF, DG>;
+* ``moment`` — E[F^p] = E[F^a F^b] with a = floor(p/2), b = ceil(p/2): only
+  the half power F^b is built by products, and the isometry pairs it with F^a.
 
 Products can only grow the chaos order, so every vector carries an order
 budget; exceeding it raises ``OrderBudgetError`` instead of silently building
-an enormous expansion.  For pure second chaos, ``negative_moment_exists`` is
-the one rule that decides which negative moments are finite.
+an enormous expansion; ``moment_order`` gives the order ``moment`` needs.
+For pure second chaos, ``negative_moment_exists`` is the one rule that
+decides which negative moments are finite.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ __all__ = [
     "second_moment",
     "covariance",
     "moment",
+    "moment_order",
     "carre_du_champ",
     "gradient_norm_sq",
     "wbar",
@@ -359,20 +363,30 @@ def covariance(F: ChaosVector, G: ChaosVector) -> float:
 
 
 def moment(F: ChaosVector, p: int) -> float:
-    """E[F^p] by exact repeated multiplication."""
+    """E[F^p] through the isometry, without building F^p.
+
+    With a = floor(p/2) and b = ceil(p/2), only F^a is built by exact
+    products, and F^b is F^a or F^a F, so the largest order formed is
+    b * top_order.  Then E[F^p] = E[F^a] E[F^b] + covariance(F^a, F^b).
+    """
     if p < 0:
         raise ValueError("moment order must be >= 0")
-    if p == 0:
-        return 1.0
-    if p * max(F.top_order, 1) > F.max_order and p > 1:
+    a, b = p // 2, p - p // 2
+    if moment_order(F, p) > F.max_order:
         raise OrderBudgetError(
-            f"moment({p}) of a chaos-{F.top_order} vector needs order {p * F.top_order} "
+            f"moment({p}) of a chaos-{F.top_order} vector needs order {moment_order(F, p)} "
             f"> budget {F.max_order}"
         )
-    acc = F
-    for _ in range(p - 1):
-        acc = multiply(acc, F)
-    return expectation(acc)
+    lo = ChaosVector(F.dim, 1.0, {}, F.max_order)
+    for _ in range(a):
+        lo = multiply(lo, F)
+    hi = multiply(lo, F) if b > a else lo
+    return lo.constant * hi.constant + covariance(lo, hi)
+
+
+def moment_order(F: ChaosVector, p: int) -> int:
+    """Highest chaos order ``moment(F, p)`` builds: that of F^ceil(p/2)."""
+    return F.top_order * ((p + 1) // 2)
 
 
 def carre_du_champ(F: ChaosVector, G: ChaosVector) -> ChaosVector:

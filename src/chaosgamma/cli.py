@@ -45,10 +45,10 @@ import json
 import math
 import os
 import sys
+from importlib.metadata import version
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .bounds import (
@@ -259,7 +259,7 @@ def _manifest(ns, cfg_sha: str, params: dict) -> dict:
         "package_versions": {
             "chaosgamma": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": version("scipy"),
         },
     }
 

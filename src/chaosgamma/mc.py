@@ -132,8 +132,10 @@ def run_chunked_multi(
     rejected counts of shape (n_columns,)).  Rejected or otherwise invalid
     entries must be NaN; they are dropped per column.  Each column reports
     its own rejection count, and the NaN entries it does not account for
-    flag it ``nonfinite_samples``.  The fold over chunks uses math.fsum on
-    per-chunk partial sums, so the result is independent of the worker count.
+    flag it ``nonfinite_samples``.  Each column is reduced on its own, so its
+    estimate does not depend on the other columns of the pass; the fold over
+    chunks uses math.fsum on per-chunk partial sums, so the result is
+    independent of the worker count.
     """
     sizes = _chunk_sizes(n, chunk_size)
 
@@ -145,13 +147,14 @@ def run_chunked_multi(
         if vals.shape != (sizes[i], n_columns) or rejected.shape != (n_columns,):
             raise ValueError(f"sample_chunk returned shapes {vals.shape}, {rejected.shape}")
         finite = np.isfinite(vals)
-        safe = np.where(finite, vals, 0.0)
+        # one contiguous row per column, summed pairwise like a lone column
+        safe = np.ascontiguousarray(np.where(finite, vals, 0.0).T)
         return (
             finite.sum(axis=0).astype(float),
-            np.sum(safe, axis=0),
-            np.sum(safe * safe, axis=0),
-            np.sum(np.abs(safe), axis=0),
-            np.max(np.abs(safe), axis=0, initial=0.0),
+            np.sum(safe, axis=1),
+            np.sum(safe * safe, axis=1),
+            np.sum(np.abs(safe), axis=1),
+            np.max(np.abs(safe), axis=1, initial=0.0),
             rejected,
         )
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gammainc, gammaincc, gammaln
 
 from .chaos import (
@@ -271,6 +270,8 @@ def _solve_exact_point(alpha: float, k: int, x: float, br: str, eh: float, y: fl
 
 
 def _quad_checked(fn, a, b, pts, epsabs):
+    from scipy.integrate import IntegrationWarning, quad
+
     # the error estimate is checked by hand below, so the library's own
     # roundoff warning is redundant noise here
     with warnings.catch_warnings():

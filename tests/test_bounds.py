@@ -7,6 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.special import roots_hermitenorm
 
 from chaosgamma.bounds import (
     assemble_density_bound,
@@ -405,6 +406,25 @@ def test_shifted_positive_moment_routes():
 
     with pytest.raises(ValueError):
         shifted_positive_moment(F, alpha, -1.0, 1000, seed=60)
+
+
+def test_chaos_product_route_reaches_exponent_six_at_q4():
+    """moment builds only (G + beta)^ceil(e/2), so on a q = 4 kernel the
+    integer exponents up to 6 are exact (order 4 * 3 = 12) and 7 is not;
+    the exact values match tensor Gauss-Hermite quadrature."""
+    rng = np.random.default_rng(61)
+    G = ChaosVector.from_kernel(random_kernel(rng, 4, 2, scale=0.3))
+    beta = second_moment(G)
+    nodes, weights = roots_hermitenorm(16)  # exact to per-axis degree 31
+    weights = weights / math.sqrt(2.0 * math.pi)
+    Z = np.array(list(product(nodes, repeat=2)))
+    W = np.prod(np.array(list(product(weights, repeat=2))), axis=1)
+    values = evaluate(G, Z) + beta
+    for e in (4, 5, 6):
+        val, route, est = shifted_positive_moment(G, beta, float(e), 1000, seed=62)
+        assert route == "chaos-product" and est is None
+        assert val == pytest.approx(float(np.sum(W * values**e)), rel=1e-9)
+    assert shifted_positive_moment(G, beta, 7.0, 1000, seed=63)[1] == "mc"
 
 
 # -- spectrum helpers ----------------------------------------------------------------

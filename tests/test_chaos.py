@@ -9,9 +9,12 @@ finite differences for jets.
 from __future__ import annotations
 
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import roots_hermitenorm
 
 from chaosgamma.chaos import (
@@ -152,6 +155,41 @@ def test_moments_against_quadrature():
         assert moment(F, p) == pytest.approx(gauss_hermite_expectation(Fp), rel=1e-9)
 
 
+coefficients = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def small_chaos_vectors(draw, dim=None, orders=(1, 2, 3)):
+    """A constant plus a random kernel at each chosen order, on d <= 3."""
+    d = draw(st.integers(1, 3)) if dim is None else dim
+    kernels = {}
+    for n in draw(st.sets(st.sampled_from(orders), max_size=len(orders))):
+        entries = {m: draw(coefficients) for m in combinations_with_replacement(range(d), n)}
+        kernels[n] = SymTensor(n, d, entries)
+    return ChaosVector(d, draw(coefficients), kernels)
+
+
+def repeated_product_moment(F, p):
+    """E[F^p] from the fully built product F^p (reference for ``moment``)."""
+    Fb = F.with_budget(max(F.max_order, p * F.top_order))
+    acc = ChaosVector(F.dim, 1.0, {}, Fb.max_order)
+    for _ in range(p):
+        acc = multiply(acc, Fb)
+    return expectation(acc)
+
+
+@settings(deadline=None)
+@given(small_chaos_vectors(), st.integers(0, 6))
+def test_moment_matches_repeated_products(F, p):
+    """The isometry route E[F^a F^b] equals the expectation of F^p built in
+    full.  Odd moments may cancel to ~0, so the tolerance is relative to
+    the hypercontractive bound E|F|^p <= (|c| + sum_n (p-1)^(n/2) ||I_n||)^p."""
+    Fb = F.with_budget(max(F.max_order, ((p + 1) // 2) * F.top_order))
+    norms = {n: math.sqrt(math.factorial(n) * f.norm_sq()) for n, f in F.kernels.items()}
+    scale = (abs(F.constant) + sum(max(p - 1, 1) ** (n / 2) * v for n, v in norms.items())) ** p
+    assert moment(Fb, p) == pytest.approx(repeated_product_moment(F, p), rel=1e-10, abs=1e-10 * scale)
+
+
 # -- derivative, divergence, generator ----------------------------------------------
 
 
@@ -177,6 +215,22 @@ def test_duality_derivative_divergence():
         lhs = expectation(multiply(F, divergence(u)))
         rhs = expectation(malliavin_derivative(F).inner(u))
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_duality_property(data):
+    """E[F delta(u)] = E<DF, u> on random small F and fields u."""
+    F = data.draw(small_chaos_vectors())
+    u = ChaosField(
+        F.dim,
+        tuple(data.draw(small_chaos_vectors(dim=F.dim, orders=(1, 2))) for _ in range(F.dim)),
+    )
+    delta = divergence(u)
+    lhs = F.constant * delta.constant + covariance(F, delta)
+    rhs = expectation(malliavin_derivative(F).inner(u))
+    scale = math.sqrt(second_moment(F)) * sum(math.sqrt(second_moment(c)) for c in u.components)
+    assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12 * scale)
 
 
 def test_generator_is_minus_divergence_of_derivative():
@@ -259,6 +313,13 @@ def test_order_budget_enforced_on_products():
         multiply(F, F)
     ok = multiply(F.with_budget(6), F.with_budget(6))
     assert ok.top_order == 6
+    # moment builds F^ceil(p/2) only: it raises exactly when 3 * ceil(p/2) > 6
+    for p in range(8):
+        if 3 * ((p + 1) // 2) > 6:
+            with pytest.raises(OrderBudgetError):
+                moment(F.with_budget(6), p)
+        else:
+            assert math.isfinite(moment(F.with_budget(6), p))
 
 
 def test_json_roundtrip_preserves_evaluation():

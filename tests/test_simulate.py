@@ -74,6 +74,23 @@ def test_run_chunked_multi_column_consistency():
     assert ests[1].within(1.0, sigmas=4.0)
 
 
+def test_column_estimate_does_not_depend_on_its_neighbours():
+    """A column run alone and the same column inside a wide pass give the
+    identical estimate, bit for bit."""
+    F = ChaosVector.second_chaos_diagonal([0.6, 0.5, 0.4])
+    vectors = {"F": F, "w": gradient_norm_sq(F)}
+    col = power_column(("F", 2.0, 3.0))
+    wide = {
+        "w^-1": power_column(("w", 0.0, -1.0)),
+        "F^2": power_column(("F", 0.0, 2.0)),
+        "col": col,
+        "wF": power_column(("w", 0.0, 1.0), ("F", 1.5, 1.0)),
+    }
+    n = 2 * CHUNK_SIZE + 4321
+    alone = run_pass(vectors, {"col": col}, n, seed=17)["col"]
+    assert run_pass(vectors, wide, n, seed=17)["col"] == alone
+
+
 def test_run_chunked_multi_rejections_per_column():
     """Each column keeps its own rejection count: a column with rejected
     rows is not flagged, and NaN rows a column does not count as rejected
