@@ -37,6 +37,7 @@ from .chaos import (
     DEFAULT_MAX_ORDER,
     SPECTRUM_TOL,
     ChaosVector,
+    covariance,
     expectation,
     generator_inverse,
     gradient_norm_sq,
@@ -627,8 +628,9 @@ def even_chaos_moments(F: ChaosVector, alpha: float) -> dict:
     Returns alpha, q, E[F] ("EF"), E[F^2] ("EF2"), E[F^3] ("EF3"),
     E[F^4] ("EF4"), fourth_moment_combo and theta_var = E[Theta^2].  E[F^3]
     and E[F^4] come from the spectral cumulants in the second chaos and
-    from ``chaos.moment`` (F^2 through the isometry) otherwise; each is
-    built once.
+    otherwise from one product F^2 through the isometry, as in
+    ``chaos.moment``: E[F^3] = E[F] E[F^2] + Cov(F, F^2) and
+    E[F^4] = E[F^2]^2 + Cov(F^2, F^2).
     """
     q = _pure_even_order(F)
     _check_alpha(F, alpha)
@@ -638,8 +640,9 @@ def even_chaos_moments(F: ChaosVector, alpha: float) -> dict:
         m3 = _second_chaos_shifted_moment(zeta, 0.0, 3)
         m4 = _second_chaos_shifted_moment(zeta, 0.0, 4)
     else:
-        m3 = moment(Fb, 3)
-        m4 = moment(Fb, 4)
+        F2 = multiply(Fb, Fb)
+        m3 = Fb.constant * F2.constant + covariance(Fb, F2)
+        m4 = F2.constant * F2.constant + covariance(F2, F2)
     return {
         "alpha": alpha,
         "q": q,
@@ -776,24 +779,20 @@ def _variance_flag(zeta: np.ndarray | None, alpha: float, factors: tuple) -> str
     """None when the Monte Carlo column with these ``power_column`` factors
     has a variance, that is E[w^-2a (F+alpha)^-2b] < inf by
     ``negative_moment_exists``; "infinite_variance" when the rule refutes it,
-    "variance_unverified" when it decides nothing or there is no spectrum."""
+    "variance_unverified" when there is no spectrum."""
     a, b = _negative_powers(factors)
     if a == b == 0:
         return None
     if zeta is None:
         return "variance_unverified"
-    exists = negative_moment_exists(zeta, alpha, 2 * a, 2 * b)
-    if exists is None:
-        return "variance_unverified"
-    return None if exists else "infinite_variance"
+    return None if negative_moment_exists(zeta, alpha, 2 * a, 2 * b) else "infinite_variance"
 
 
 def _refuse_spectrum(zeta: np.ndarray, alpha: float, columns: Mapping[str, tuple]) -> None:
     """Refuses a second-chaos spectrum on which the mean of a Monte Carlo
-    column may not exist: a negative eigenvalue or shift gap lets F + alpha
+    column is infinite: a negative eigenvalue or shift gap lets F + alpha
     reach zero with positive density, and ``negative_moment_exists`` must
-    certify every column, a mixed one E[w^-a (F+alpha)^-b] through
-    Cauchy-Schwarz by E[w^-2a] and E[(F+alpha)^-2b]."""
+    certify every column E[w^-a (F+alpha)^-b]."""
     if np.any(zeta < -SPECTRUM_TOL):
         raise ValueError(
             "the second-chaos spectrum has negative eigenvalues, so F + alpha"
@@ -807,15 +806,13 @@ def _refuse_spectrum(zeta: np.ndarray, alpha: float, columns: Mapping[str, tuple
         )
     for label, factors in columns.items():
         a, b = _negative_powers(factors)
-        for ca, cb in ((2 * a, 0.0), (0.0, 2 * b)) if a and b else ((a, b),):
-            if not negative_moment_exists(zeta, alpha, ca, cb):
-                need = f"E[w^-{ca:g}]" if cb == 0 else f"E[(F+alpha)^-{cb:g}]"
-                raise ValueError(
-                    f"the Monte Carlo column {label} needs {need} < inf, which takes"
-                    f" more than {2 * (ca + cb):g} nonzero eigenvalues"
-                    f"{' or a positive shift gap' if cb else ''}; this spectrum has"
-                    f" {int(np.sum(zeta > SPECTRUM_TOL))} positive eigenvalues"
-                )
+        if not negative_moment_exists(zeta, alpha, a, b):
+            at_gap, m_min = ("a positive", 2 * a) if gap > SPECTRUM_TOL else ("zero", 2 * (a + b))
+            raise ValueError(
+                f"the Monte Carlo column {label} has no finite mean: at {at_gap} shift gap"
+                f" it takes more than {m_min:g} nonzero eigenvalues; this spectrum has"
+                f" {int(np.sum(zeta > SPECTRUM_TOL))} positive eigenvalues"
+            )
 
 
 def _assemble_bound(

@@ -426,15 +426,18 @@ def second_chaos_eigenvalues(F: ChaosVector) -> np.ndarray | None:
     return np.linalg.eigvalsh(F.kernel(2).to_dense())
 
 
-def negative_moment_exists(zeta, alpha: float, a: float, b: float) -> bool | None:
+def negative_moment_exists(zeta, alpha: float, a: float, b: float) -> bool:
     """Whether E[w^-a (F+alpha)^-b] is finite for F = sum_i zeta_i (Y_i^2 - 1),
-    w = ||DF||^2 = 4 sum_i zeta_i^2 Y_i^2 or wbar = w/2; None if undecided.
+    w = ||DF||^2 = 4 sum_i zeta_i^2 Y_i^2 or wbar = w/2.
 
     With m nonzero eigenvalues P(w < eps) ~ eps^(m/2): E[w^-a] < inf iff
     m > 2a.  F + alpha = sum_i zeta_i Y_i^2 + alpha - sum(zeta): a negative
     gap alpha - sum(zeta) or eigenvalue lets it reach 0 with positive
     density, a positive gap keeps it off 0, and at gap 0 E[(F+alpha)^-b]
-    < inf iff m > 2b.  A mixed moment is proved only through a positive gap.
+    < inf iff m > 2b.  For a mixed moment on a nonnegative spectrum, a
+    positive gap keeps F + alpha in [gap, gap + O(|Y|^2)] where w is small,
+    so it is finite iff m > 2a; at gap 0 both w and F + alpha are of order
+    |Y|^2 on the m active coordinates, so it is finite iff m > 2(a + b).
     """
     zeta = np.asarray(zeta, dtype=float)
     m = int(np.sum(np.abs(zeta) > SPECTRUM_TOL))
@@ -445,7 +448,7 @@ def negative_moment_exists(zeta, alpha: float, a: float, b: float) -> bool | Non
         return a <= 0 or m > 2 * a
     if a <= 0:
         return gap > SPECTRUM_TOL or m > 2 * b
-    return True if gap > SPECTRUM_TOL and m > 2 * a else None
+    return m > 2 * a if gap > SPECTRUM_TOL else m > 2 * (a + b)
 
 
 @dataclass(frozen=True)

@@ -370,7 +370,7 @@ def cmd_stein(ns, cfg_sha: str, outdir: Path) -> tuple[int, dict]:
     rows = sol.to_rows(env)
     _write_csv(outdir / "stein.csv", ["y", "f", "fprime", "residual", "envelope"], rows)
 
-    res = np.abs(sol.residuals())
+    res = np.abs([row[3] for row in rows])
     ys = np.asarray(grid)
     tol = float(ns.tolerances.get("residual", 1e-8))
     away = np.abs(ys) >= 0.05

@@ -33,6 +33,7 @@ __all__ = [
     "gamma_pdf",
     "gamma_pdf_deriv",
     "nu_weight",
+    "nu_coefficients",
     "gamma_poly_expectation",
     "rising_factorial",
     "signed_products",
@@ -100,17 +101,25 @@ def nu_weight(alpha: float, k: int, y: "float | np.ndarray") -> "float | np.ndar
     nu_k(y) = (-1)^(k-1) sum_{i=0}^{k} C(k,i) prod_{j=1}^{i}(j-alpha) y^(-i);
     in particular nu_1(y) = 1 + (1 - alpha)/y.
     """
-    if k < 1:
-        raise ValueError("weight order k must be at least 1")
+    coeffs = nu_coefficients(alpha, k)
     y = np.asarray(y, dtype=float)
     nonzero = y != 0.0
     safe = np.where(nonzero, y, 1.0)
-    prods = signed_products(alpha, k)
     acc = np.zeros_like(safe)
-    for i in range(k + 1):
-        acc += math.comb(k, i) * prods[i] * safe ** (-i)
-    out = np.where(nonzero, (-1.0) ** (k - 1) * acc, 0.0)
+    for i, c in enumerate(coeffs):
+        acc += c * safe ** (-i)
+    out = np.where(nonzero, acc, 0.0)
     return float(out) if out.ndim == 0 else out
+
+
+def nu_coefficients(alpha: float, k: int) -> list[float]:
+    """c_i = (-1)^(k-1) C(k,i) prod_{j=1}^{i}(j-alpha), i = 0..k, so that
+    nu_k(y) = sum_i c_i y^(-i) for y != 0."""
+    if k < 1:
+        raise ValueError("weight order k must be at least 1")
+    sign = (-1.0) ** (k - 1)
+    prods = signed_products(alpha, k)
+    return [sign * math.comb(k, i) * prods[i] for i in range(k + 1)]
 
 
 def rising_factorial(alpha: float, m: int) -> float:

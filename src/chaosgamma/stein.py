@@ -32,7 +32,7 @@ from .chaos import (
     second_moment,
     wbar,
 )
-from .gamma import gamma_pdf_deriv, nu_weight, signed_products
+from .gamma import gamma_pdf_deriv, nu_coefficients, nu_weight, signed_products
 from .mc import CHUNK_SIZE, McEstimate, run_pass
 
 __all__ = [
@@ -77,11 +77,7 @@ def _abs_products(alpha: float, n: int) -> list[float]:
 
 def _nu_neg_axis_coeffs(alpha: float, k: int) -> list[float]:
     """Coefficients w_i with nu_{k+1}(-s) = sum_i w_i s^{-i} for s > 0."""
-    prods = signed_products(alpha, k + 1)
-    return [
-        (-1.0) ** k * math.comb(k + 1, i) * prods[i] * (-1.0) ** i
-        for i in range(k + 2)
-    ]
+    return [c * (-1.0) ** i for i, c in enumerate(nu_coefficients(alpha, k + 1))]
 
 
 def stein_rhs(alpha: float, k: int, x: float, y: "float | np.ndarray") -> "float | np.ndarray":
@@ -97,6 +93,25 @@ def stein_rhs(alpha: float, k: int, x: float, y: "float | np.ndarray") -> "float
     else:
         out = np.where(y < 0, nu, 0.0)
     return float(out) if out.ndim == 0 else out
+
+
+def _scalar_rhs(alpha: float, k: int, x: float, br: str, eh: float):
+    """``stein_rhs`` on one float, with the nu_{k+1} coefficients and
+    eh = E[h(G)] bound once per solve: both routes call it per grid point
+    and the quadrature integrands per node."""
+    terms = tuple(enumerate(nu_coefficients(alpha, k + 1)))
+
+    def nu(y):
+        acc = 0.0
+        for i, c in terms:
+            acc += c * y ** -i
+        return acc
+
+    if br == "positive":
+        return lambda y: (nu(y) if y > x else 0.0) - eh
+    if br == "negative":
+        return lambda y: nu(y) if y <= x else 0.0
+    return lambda y: nu(y) if y < 0 else 0.0
 
 
 # -- exponentially weighted power integrals -----------------------------------------
@@ -232,8 +247,10 @@ class SteinSolution:
         return rows
 
 
-def _solve_exact_point(alpha: float, k: int, x: float, br: str, eh: float, y: float) -> tuple[float, float]:
-    g_y = float(stein_rhs(alpha, k, x, y))
+def _solve_exact_point(
+    alpha: float, k: int, x: float, br: str, eh: float, rhs, y: float
+) -> tuple[float, float]:
+    g_y = rhs(y)
     if y < 0:
         t = -y
         if br == "positive":
@@ -287,7 +304,7 @@ def _quad_checked(fn, a, b, pts, epsabs):
 
 
 def _solve_quad_point(
-    alpha: float, k: int, x: float, br: str, eh: float, y: float, epsabs: float
+    alpha: float, k: int, x: float, br: str, rhs, y: float, epsabs: float
 ) -> tuple[float, float]:
     """One grid point by adaptive quadrature, at the scale of f itself.
 
@@ -296,12 +313,10 @@ def _solve_quad_point(
     relative accuracy under a |y|^(-alpha) prefactor, and for y well past
     the threshold it hides e^y-sized cancellation; integrating the tail
     from +infinity instead avoids both).  The remaining endpoint
-    singularity v^(alpha-1) is removed by v = u^(1/alpha).
+    singularity v^(alpha-1) is removed by v = u^(1/alpha).  ``rhs`` is
+    the solve's ``_scalar_rhs``.
     """
-    g_y = float(stein_rhs(alpha, k, x, y))
-
-    def g_of(s):
-        return float(stein_rhs(alpha, k, x, s))
+    g_y = rhs(y)
 
     if y < 0:
         t = -y
@@ -311,7 +326,7 @@ def _solve_quad_point(
         elif v0 > 0.0:
             # f = int_{v0}^1 e^{t(v-1)} v^(alpha-1) g(-t v) dv
             def integrand_v(v):
-                return math.exp(t * (v - 1.0)) * v ** (alpha - 1.0) * g_of(-t * v)
+                return math.exp(t * (v - 1.0)) * v ** (alpha - 1.0) * rhs(-t * v)
 
             f = _quad_checked(integrand_v, v0, 1.0, None, epsabs)
         else:
@@ -326,7 +341,7 @@ def _solve_quad_point(
                 return (
                     math.exp(t * (v - 1.0))
                     * v ** (alpha - 1.0)
-                    * g_of(-t * v)
+                    * rhs(-t * v)
                     * u ** (1.0 / m - 1.0)
                     / m
                 )
@@ -340,14 +355,14 @@ def _solve_quad_point(
         # f = int_0^1 e^{y(1-u^(1/a))} g(y u^(1/a)) du / alpha
         def integrand_u(u):
             v = u ** (1.0 / alpha)
-            return math.exp(y * (1.0 - v)) * g_of(y * v) / alpha
+            return math.exp(y * (1.0 - v)) * rhs(y * v) / alpha
 
         pts = [(x / y) ** alpha] if x < y else None
         f = _quad_checked(integrand_u, 0.0, 1.0, pts, epsabs)
     else:
         # f = -(1/y) int_0^inf e^{-t} ((y+t)/y)^(alpha-1) g(y+t) dt
         def integrand_t(t):
-            return math.exp(-t) * ((y + t) / y) ** (alpha - 1.0) * g_of(y + t)
+            return math.exp(-t) * ((y + t) / y) ** (alpha - 1.0) * rhs(y + t)
 
         t0 = x - y
         if t0 > 0:
@@ -382,13 +397,14 @@ def solve(
     if any(g[i] >= g[i + 1] for i in range(len(g) - 1)):
         raise ValueError("grid must be strictly increasing")
     eh = float(gamma_pdf_deriv(alpha, k, x)) if br == "positive" else 0.0
+    rhs = _scalar_rhs(alpha, k, x, br, eh)
     f = np.empty(len(g))
     fp = np.empty(len(g))
     for i, y in enumerate(g):
         if method == "exact":
-            f[i], fp[i] = _solve_exact_point(alpha, k, x, br, eh, y)
+            f[i], fp[i] = _solve_exact_point(alpha, k, x, br, eh, rhs, y)
         elif method == "quad":
-            f[i], fp[i] = _solve_quad_point(alpha, k, x, br, eh, y, epsabs)
+            f[i], fp[i] = _solve_quad_point(alpha, k, x, br, rhs, y, epsabs)
         else:
             raise ValueError(f"unknown method {method!r}")
     return SteinSolution(alpha, k, float(x), tuple(g), f, fp, eh, method)

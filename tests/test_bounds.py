@@ -467,17 +467,26 @@ def ok_spec_vector(rng, size=12):
 ROUTES = {"chaos-moment": assemble_density_bound, "malliavin-general": assemble_general_bound}
 
 
-@pytest.mark.parametrize("route", sorted(ROUTES))
+# refused spectra and the routes that refuse them: eight eigenvalues at a
+# positive shift gap carry every chaos-moment column (E[w^-3] needs m > 6)
+# but not the general route's E[wbar^-6] (m > 12)
+REFUSALS = [
+    ([0.6] * 10 + [-0.2], "negative eigenvalues", sorted(ROUTES)),
+    ([0.3] * 12, "shift gap", sorted(ROUTES)),
+    ([0.5] * 8, "positive eigenvalues", sorted(ROUTES)),
+    ([0.55] * 8, "positive eigenvalues", ["malliavin-general"]),
+]
+
+
 @pytest.mark.parametrize(
-    "zeta,message",
+    "zeta,message,route",
     [
-        ([0.6] * 10 + [-0.2], "negative eigenvalues"),
-        ([0.3] * 12, "shift gap"),
-        ([0.5] * 8, "positive eigenvalues"),
-        ([0.55] * 8, "positive eigenvalues"),
+        pytest.param(zeta, message, route, id=f"zeta{i}-{message}-{route}")
+        for i, (zeta, message, routes) in enumerate(REFUSALS)
+        for route in routes
     ],
 )
-def test_spectrum_refusals(route, zeta, message):
+def test_spectrum_refusals(zeta, message, route):
     F = ChaosVector.second_chaos_diagonal(zeta)
     with pytest.raises(ValueError, match=message):
         ROUTES[route](F, second_moment(F), [1.0], 1000, seed=64)
@@ -490,6 +499,8 @@ def test_spectrum_refusals(route, zeta, message):
         ("chaos-moment", [0.55] * 9, None),  # m = 9 at a positive gap
         ("malliavin-general", [0.55] * 12, "nonzero eigenvalues"),
         ("malliavin-general", [0.55] * 13, None),
+        ("chaos-moment", [0.55] * 8, None),  # m = 8 at a positive gap: E[w^-3] needs m > 6
+        ("chaos-moment", [0.55] * 6, "nonzero eigenvalues"),
     ],
 )
 def test_spectrum_refusal_boundaries(route, zeta, message):
@@ -749,10 +760,10 @@ def test_higher_chaos_negative_columns_flag_variance_unverified(route):
         # ... a zero gap needs m > 4b
         ([0.6] * 4 + [0.2] * 4, 3.2, (("F", 3.2, -2.0),), "infinite_variance"),
         ([0.6] * 6 + [0.3] * 6, 5.4, (("F", 5.4, -2.0),), None),
-        # mixed columns are verified only with a positive gap and m > 4a
+        # mixed columns: a positive gap needs m > 4a, a zero gap m > 4(a + b)
         ([0.55] * 12, 7.26, (("w", 0.0, -2.0), ("F", 7.26, -2.0)), None),
-        ([0.6] * 6 + [0.3] * 6, 5.4, (("w", 0.0, -2.0), ("F", 5.4, -2.0)), "variance_unverified"),
-        ([0.55] * 8, 4.84, (("w", 0.0, -2.0), ("F", 4.84, -2.0)), "variance_unverified"),
+        ([0.6] * 6 + [0.3] * 6, 5.4, (("w", 0.0, -2.0), ("F", 5.4, -2.0)), "infinite_variance"),
+        ([0.55] * 8, 4.84, (("w", 0.0, -2.0), ("F", 4.84, -2.0)), "infinite_variance"),
         # no negative power, no flag; no spectrum, no proof
         ([0.5] * 4, 2.0, (("U", 0.0, 1.5),), None),
         (None, 1.0, (("F", 1.0, -2.0),), "variance_unverified"),

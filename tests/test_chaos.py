@@ -355,14 +355,18 @@ def test_kernel_order_validation():
         # ... and a negative gap or eigenvalue makes every b > 0 diverge
         ([0.3] * 12, 3.0, 0.0, 1.0, False),
         ([0.6] * 10 + [-0.2], 10.0, 0.0, 1.0, False),
-        # mixed: a positive gap and m > 2a prove it, a sign failure refutes it,
-        # anything else is undecided
+        # mixed: a sign failure refutes it; otherwise a positive gap needs
+        # m > 2a and a zero gap m > 2(a + b)
         ([0.55] * 12, 7.26, 2.0, 2.0, True),
-        ([0.6] * 6 + [0.3] * 6, 5.4, 2.0, 2.0, None),
-        ([0.55] * 8, 4.84, 4.0, 4.0, None),
+        ([0.6] * 6 + [0.3] * 6, 5.4, 2.0, 2.0, True),
+        ([0.55] * 8, 4.84, 4.0, 4.0, False),
         ([0.3] * 12, 3.0, 2.0, 2.0, False),
         # no negative power
         ([0.5], 0.5, 0.0, 0.0, True),
+        # the mixed thresholds: m = 8 at a positive gap, m = 9 at gap 0
+        ([0.55] * 8, 4.84, 3.5, 4.0, True),
+        ([0.6] * 4 + [0.2] * 4, 3.2, 2.0, 2.0, False),
+        ([0.6, 0.2] * 4 + [0.5], 3.7, 2.0, 2.0, True),
     ],
 )
 def test_negative_moment_existence_rule(zeta, alpha, a, b, finite):

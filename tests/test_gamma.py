@@ -18,6 +18,7 @@ from chaosgamma.gamma import (
     laguerre_carre_du_champ,
     laguerre_diffusion,
     laguerre_generator_apply,
+    nu_coefficients,
     nu_weight,
     ornstein_uhlenbeck,
     representation_check,
@@ -84,6 +85,20 @@ def test_nu_weight_closed_forms():
         assert np.allclose(nu_weight(alpha, 1, y), 1.0 + (1.0 - alpha) / y, atol=1e-13)
     assert nu_weight(3.0, 2, 0.0) == 0.0
     assert nu_weight(3.0, 4, 0.0) == 0.0
+
+
+def test_nu_coefficients_closed_form():
+    """c_i = (-1)^(k-1) C(k,i) prod_{j<=i}(j - alpha), and nu_weight sums them."""
+    y = np.array([-3.0, -0.4, 0.25, 1.7, 12.0])
+    for alpha in (0.7, 2.0, 4.0, 6.21):
+        for k in (1, 2, 4):
+            prods = [math.prod(j - alpha for j in range(1, i + 1)) for i in range(k + 1)]
+            want = [(-1.0) ** (k - 1) * math.comb(k, i) * prods[i] for i in range(k + 1)]
+            assert nu_coefficients(alpha, k) == pytest.approx(want, rel=1e-15)
+            direct = sum(c * y ** -float(i) for i, c in enumerate(want))
+            assert np.allclose(nu_weight(alpha, k, y), direct, rtol=1e-13, atol=0.0)
+    with pytest.raises(ValueError):
+        nu_coefficients(2.0, 0)
 
 
 def test_nu_weight_recursion():
