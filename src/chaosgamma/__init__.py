@@ -68,7 +68,6 @@ from .mc import (
     density_kde,
     density_malliavin,
     estimator_vectors,
-    mc_expect,
     run_chunked,
     run_chunked_multi,
     run_pass,

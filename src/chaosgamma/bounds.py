@@ -52,12 +52,9 @@ from .chaos import (
 )
 from .gamma import gamma_pdf
 from .mc import (
-    CHUNK_SIZE,
     McEstimate,
-    MomentFunctional,
     density_columns,
     estimator_vectors,
-    mc_expect,
     power_column,
     run_pass,
 )
@@ -213,9 +210,9 @@ def _pure_even_order(F: ChaosVector) -> int:
 
 
 def _check_alpha(F: ChaosVector, alpha: float) -> None:
-    """alpha > 0, F centered, and E[F^2] = alpha."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    """alpha > 0 finite, F centered, and E[F^2] = alpha."""
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     mean = expectation(F)
     if abs(mean) > 1e-12 * max(1.0, alpha):
         raise ValueError(f"F must be centered; E[F] = {mean!r}")
@@ -578,8 +575,20 @@ def _second_chaos_shifted_moment(zeta: np.ndarray, alpha: float, p: int) -> floa
     return _moments_from_cumulants(kappa, p)
 
 
-def _exact_positive_moment(F: ChaosVector, alpha: float, exponent: float) -> tuple[float, str] | None:
-    """(value, route) of ``shifted_positive_moment`` when its route is exact, else None."""
+def shifted_positive_moment(
+    F: ChaosVector, alpha: float, exponent: float
+) -> tuple[float, str] | None:
+    """(value, route) of E[(F + alpha)^exponent] for exponent >= 0 by the
+    cheapest exact route, or None when there is none.
+
+    Routes: "trivial" (exponent 0), "spectral" (second chaos, integer
+    exponent, exact cumulants), "chaos-product" (integer exponent e whose
+    half power (F + alpha)^ceil(e/2) has chaos order at most 12).  Any other
+    moment is a Monte Carlo column, ``mc.power_column(("F", alpha, exponent))``
+    of an ``mc.run_pass``.
+    """
+    if exponent < 0:
+        raise ValueError("exponent must be nonnegative; negative moments are Monte Carlo columns")
     if exponent == 0:
         return 1.0, "trivial"
     e_int = int(round(exponent))
@@ -591,32 +600,6 @@ def _exact_positive_moment(F: ChaosVector, alpha: float, exponent: float) -> tup
             budget = max(F.max_order, moment_order(F, e_int))
             return moment((F + float(alpha)).with_budget(budget), e_int), "chaos-product"
     return None
-
-
-def shifted_positive_moment(
-    F: ChaosVector,
-    alpha: float,
-    exponent: float,
-    n: int,
-    seed: int,
-    workers: int = 1,
-    chunk_size: int = CHUNK_SIZE,
-) -> tuple[float, str, McEstimate | None]:
-    """E[(F + alpha)^exponent] for exponent >= 0, routed to the cheapest
-    exact method available.
-
-    Routes: "trivial" (exponent 0), "spectral" (second chaos, integer
-    exponent, exact cumulants), "chaos-product" (integer exponent e whose
-    half power (F + alpha)^ceil(e/2) has chaos order at most 12), "mc"
-    otherwise.  Returns (value, route, estimate-or-None).
-    """
-    if exponent < 0:
-        raise ValueError("exponent must be nonnegative; negative moments go through MC")
-    exact = _exact_positive_moment(F, alpha, exponent)
-    if exact is not None:
-        return *exact, None
-    est = mc_expect(F, MomentFunctional(float(exponent), float(alpha)), n, seed, workers, chunk_size)
-    return est.value, "mc", est
 
 
 # -- assembled bounds ---------------------------------------------------------------
@@ -760,6 +743,8 @@ def _validate_xs(xs, alpha: float) -> list[float]:
     pts = [float(x) for x in xs]
     if not pts:
         raise ValueError("need at least one evaluation point")
+    if not all(math.isfinite(x) for x in pts):
+        raise ValueError(f"evaluation points must be finite, got {pts}")
     if len(set(pts)) != len(pts):
         raise ValueError("evaluation points must be distinct")
     if 0.0 in pts and alpha <= 1:
@@ -823,7 +808,6 @@ def _assemble_bound(
     n: int,
     seed: int,
     workers: int,
-    chunk_size: int,
     route_terms: Callable[..., tuple],
     flags: list[str],
 ) -> BoundReport:
@@ -842,7 +826,8 @@ def _assemble_bound(
          + gradient-weight terms) * defect factor.
 
     The plan collects the exponents the envelopes need, in order of first
-    use; a positive one with an exact route takes it, every other one is a
+    use; a nonnegative one takes its exact route from
+    ``shifted_positive_moment`` when there is one, every other one is a
     column.  ``_refuse_spectrum`` checks all columns on a second-chaos F;
     otherwise existence is flagged as unverified.  Every Monte Carlo number
     of the report (these columns and the density at each x) comes from one
@@ -861,7 +846,7 @@ def _assemble_bound(
     plan = {} if weight_terms is None else {
         label(2.0 * p): 2.0 * p for x in pts for p, c in envs[x].terms if c != 0.0 and p != 0.0
     }
-    exact = {k: _exact_positive_moment(F, alpha, ex) for k, ex in plan.items() if ex >= 0}
+    exact = {k: shifted_positive_moment(F, alpha, ex) for k, ex in plan.items() if ex >= 0}
     columns.update((k, (("F", alpha, ex),)) for k, ex in plan.items() if exact.get(k) is None)
     if zeta is not None:
         _refuse_spectrum(zeta, alpha, columns)
@@ -871,7 +856,7 @@ def _assemble_bound(
     ests = run_pass(
         {**estimator_vectors(F, 0), **vectors},
         {**mc_columns, **density_columns(alpha, 0, pts)},
-        n, seed + 3, workers, chunk_size,
+        n, seed + 3, workers,
     )
     for k, fac in columns.items():
         var_flag = _variance_flag(zeta, alpha, fac)
@@ -936,7 +921,6 @@ def assemble_density_bound(
     n: int,
     seed: int,
     workers: int = 1,
-    chunk_size: int = CHUNK_SIZE,
 ) -> BoundReport:
     """Pointwise density bound for a pure even-order chaos element.
 
@@ -951,10 +935,12 @@ def assemble_density_bound(
     C1(q) E[||DF||^-6]^(1/2).  Negative moments are estimated by Monte
     Carlo; positive moments go through exact routes whenever one exists.
 
-    Second-chaos inputs are refused when the spectrum cannot support the
-    negative moments (here: at least 9 positive eigenvalues and a
-    nonnegative shift gap alpha - sum zeta_i); for higher orders the
-    existence is flagged as unverified instead.
+    Second-chaos inputs are refused when the spectrum cannot support a
+    Monte Carlo column E[||DF||^-2a (F+alpha)^-b]: a negative eigenvalue or
+    shift gap alpha - sum zeta_i, or m positive eigenvalues too few for
+    ``chaos.negative_moment_exists`` (the gradient-weight columns alone
+    need m >= 7 at a positive gap and m >= 9 at gap 0).  For higher orders
+    the existence is flagged as unverified instead.
     """
     q = _pure_even_order(F)
 
@@ -987,7 +973,7 @@ def assemble_density_bound(
         return radical, fields, {}, columns, weight_terms if radical else None
 
     return _assemble_bound(
-        "chaos-moment", F, alpha, xs, n, seed, workers, chunk_size, route_terms, []
+        "chaos-moment", F, alpha, xs, n, seed, workers, route_terms, []
     )
 
 
@@ -999,7 +985,6 @@ def assemble_general_bound(
     seed: int,
     s: int = 8,
     workers: int = 1,
-    chunk_size: int = CHUNK_SIZE,
 ) -> BoundReport:
     """Pointwise density bound for a general centered functional with
     E[F^2] = alpha, driven by the projected gradient weight wbar.
@@ -1017,10 +1002,11 @@ def assemble_general_bound(
     The s = 4 case is assembled with the same unit constant but flagged:
     that endpoint's constant is not certified.
 
-    Pure second-chaos inputs are refused when the spectrum cannot support
-    the negative moments (here: E[wbar^-6] needs more than 12 nonzero
-    eigenvalues, the mixed term a nonnegative shift gap); otherwise
-    existence is flagged as unverified.
+    Pure second-chaos inputs are refused when the spectrum cannot support a
+    Monte Carlo column E[wbar^-a (F+alpha)^-b]: a negative eigenvalue or
+    shift gap, or m positive eigenvalues too few for
+    ``chaos.negative_moment_exists`` (E[wbar^-6] alone needs m >= 13).
+    Otherwise existence is flagged as unverified.
     """
     if s not in (4, 8, 12):
         raise ValueError(f"s must be one of 4, 8, 12; got {s}")
@@ -1066,5 +1052,5 @@ def assemble_general_bound(
 
     flags = ["s4_constant_uncertified"] if s == 4 else []
     return _assemble_bound(
-        "malliavin-general", F, alpha, xs, n, seed, workers, chunk_size, route_terms, flags
+        "malliavin-general", F, alpha, xs, n, seed, workers, route_terms, flags
     )

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import comb, factorial, isfinite
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -243,10 +243,6 @@ class ChaosField:
 
     def scale(self, a: float) -> "ChaosField":
         return ChaosField(self.dim, tuple(c.scale(a) for c in self.components))
-
-    def mul_vector(self, g: ChaosVector) -> "ChaosField":
-        """Pointwise product g * u, component by component."""
-        return ChaosField(self.dim, tuple(multiply(g, c) for c in self.components))
 
     def inner(self, other: "ChaosField") -> ChaosVector:
         """<u, v> = sum_j u_j v_j as an exact ChaosVector."""
@@ -463,14 +459,16 @@ class SecondChaosSpec:
         z = tuple(float(v) for v in self.zeta)
         if not z:
             raise ValueError("zeta must be non-empty")
+        if not all(isfinite(v) for v in z):
+            raise ValueError(f"zeta entries must be finite, got {z}")
         if any(v <= 0 for v in z):
             raise ValueError("zeta entries must be positive")
         if any(z[i] < z[i + 1] for i in range(len(z) - 1)):
             raise ValueError("zeta must be non-increasing")
         object.__setattr__(self, "zeta", z)
         object.__setattr__(self, "alpha", float(self.alpha))
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (self.alpha > 0 and isfinite(self.alpha)):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
 
     def variance(self) -> float:
         return 2.0 * sum(v * v for v in self.zeta)

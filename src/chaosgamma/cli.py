@@ -121,6 +121,20 @@ def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
 
 
+def _reject_nonfinite(node, key: str) -> None:
+    """Raises a ConfigError naming the first number under ``node`` that is
+    not finite.  json.loads reads NaN and Infinity tokens and turns 1e400
+    into inf, and float() reads "nan" from a flag."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"{key} must be a finite number, got {node!r}")
+    if isinstance(node, dict):
+        for k, v in node.items():
+            _reject_nonfinite(v, f"{key}.{k}" if key else str(k))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            _reject_nonfinite(v, f"{key}[{i}]")
+
+
 def _load_config(path: str | None) -> tuple[dict, str]:
     """Returns (config doc, sha256 of its canonical JSON)."""
     if path is None:
@@ -138,6 +152,7 @@ def _load_config(path: str | None) -> tuple[dict, str]:
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
     _reject_unknown(doc, _ALLOWED_KEYS, "config")
+    _reject_nonfinite(doc, "")
     if "mc" in doc:
         if not isinstance(doc["mc"], dict):
             raise ConfigError("mc must be an object with keys n, seed")
@@ -156,6 +171,7 @@ def _parse_spec(node) -> tuple[ChaosVector, float | None]:
             node = json.loads(Path(node).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot load spec file: {exc}") from exc
+        _reject_nonfinite(node, "spec")
     if not isinstance(node, dict):
         raise ConfigError("spec must be an object or a file path")
     if "zeta" in node:
@@ -211,6 +227,7 @@ def _resolve(args, doc: dict):
         workers=args.workers,
         tolerances=doc.get("tolerances", {}),
     )
+    _reject_nonfinite({"alpha": ns.alpha, "xs": ns.xs, "x": ns.x}, "")
     if ns.n <= 0:
         raise ConfigError("mc.n must be positive")
     if "command" in doc and doc["command"] != args.command:

@@ -21,7 +21,6 @@ import numpy as np
 from scipy.special import gammaln
 
 from .mc import (
-    CHUNK_SIZE,
     McEstimate,
     gamma_variates,
     run_chunked,
@@ -206,7 +205,6 @@ def diffusion_density_estimate(
     n: int,
     seed: int,
     workers: int = 1,
-    chunk_size: int = CHUNK_SIZE,
 ) -> McEstimate:
     """Estimate the invariant density at x as -2 E[1_{x <= Y} (-s'/s + b/s^2)(Y)]."""
 
@@ -214,7 +212,7 @@ def diffusion_density_estimate(
         y = diff.invariant_sampler(gen, m)
         return np.where(y >= x, diff.score(y), 0.0), 0
 
-    return run_chunked(sample_chunk, n, seed, workers, chunk_size)
+    return run_chunked(sample_chunk, n, seed, workers)
 
 
 # -- indicator representation of density derivatives -------------------------------
@@ -227,7 +225,6 @@ def representation_check(
     n: int,
     seed: int,
     workers: int = 1,
-    chunk_size: int = CHUNK_SIZE,
 ) -> tuple[McEstimate, float]:
     """Monte Carlo for the right-hand side of the indicator representation of
     p^(k)(x), paired with the exact closed-form value.
@@ -245,4 +242,4 @@ def representation_check(
         ind = g > x if x >= 0 else g < x
         return np.where(ind, w, 0.0), 0
 
-    return run_chunked(sample_chunk, n, seed, workers, chunk_size), exact
+    return run_chunked(sample_chunk, n, seed, workers), exact

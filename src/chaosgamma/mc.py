@@ -3,9 +3,9 @@
 Reproducibility contract: sampling is partitioned into fixed-size chunks and
 chunk i draws from a counter-based Philox stream keyed by (master seed, i).
 Per-chunk reductions are folded in chunk order with compensated summation, so
-an estimate depends only on (seed, n, chunk size) and is bit-identical for
-any worker count.  Normal and Gamma variates come from inverse CDFs, keeping
-the draw count per chunk fixed.
+an estimate depends only on (seed, n), with the chunk size fixed at
+``CHUNK_SIZE``, and is bit-identical for any worker count.  Normal and Gamma
+variates come from inverse CDFs, keeping the draw count per chunk fixed.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ __all__ = [
     "run_chunked_multi",
     "run_pass",
     "power_column",
-    "mc_expect",
-    "MomentFunctional",
-    "IndicatorFunctional",
     "SecondChaosSpec",
     "density_columns",
     "density_malliavin",
@@ -55,6 +52,9 @@ __all__ = [
 CHUNK_SIZE = 16384
 REJECT_EPS = 1e-12
 HEAVY_TAIL_SHARE = 0.05
+# agreement and tightening budget of the characteristic-function inversion
+_CF_RTOL = 1e-6
+_CF_REFINEMENTS = 4
 
 _U_LO = np.finfo(float).tiny
 _U_HI = 1.0 - np.finfo(float).epsneg
@@ -111,11 +111,11 @@ class McEstimate:
         return abs(self.value - target) <= sigmas * self.stderr + atol
 
 
-def _chunk_sizes(n: int, chunk_size: int) -> list[int]:
+def _chunk_sizes(n: int) -> list[int]:
     if n < 1:
         raise ValueError("need n >= 1 samples")
-    full, rem = divmod(n, chunk_size)
-    return [chunk_size] * full + ([rem] if rem else [])
+    full, rem = divmod(n, CHUNK_SIZE)
+    return [CHUNK_SIZE] * full + ([rem] if rem else [])
 
 
 def run_chunked_multi(
@@ -124,7 +124,6 @@ def run_chunked_multi(
     seed: int,
     n_columns: int,
     workers: int = 1,
-    chunk_size: int = CHUNK_SIZE,
 ) -> list[McEstimate]:
     """Estimate the column means of a (n, n_columns) sample matrix.
 
@@ -137,7 +136,7 @@ def run_chunked_multi(
     chunks uses math.fsum on per-chunk partial sums, so the result is
     independent of the worker count.
     """
-    sizes = _chunk_sizes(n, chunk_size)
+    sizes = _chunk_sizes(n)
 
     def work(i: int):
         gen = substream(seed, i)
@@ -164,7 +163,7 @@ def run_chunked_multi(
     else:
         stats = [work(i) for i in range(len(sizes))]
 
-    chunk_tag = f"philox2x64/{chunk_size}"
+    chunk_tag = f"philox2x64/{CHUNK_SIZE}"
     out = []
     for c in range(n_columns):
         n_used = int(math.fsum(s[0][c] for s in stats))
@@ -205,7 +204,6 @@ def run_chunked(
     n: int,
     seed: int,
     workers: int = 1,
-    chunk_size: int = CHUNK_SIZE,
 ) -> McEstimate:
     """Single-column ``run_chunked_multi``; ``sample_chunk`` returns (values, rejected count)."""
 
@@ -213,7 +211,7 @@ def run_chunked(
         vals, rejected = sample_chunk(gen, m)
         return np.asarray(vals, dtype=float).reshape(m, 1), [rejected]
 
-    return run_chunked_multi(wrap, n, seed, 1, workers, chunk_size)[0]
+    return run_chunked_multi(wrap, n, seed, 1, workers)[0]
 
 
 # A column maps the evaluated arrays of one chunk to (values, rejected count).
@@ -226,7 +224,6 @@ def run_pass(
     n: int,
     seed: int,
     workers: int = 1,
-    chunk_size: int = CHUNK_SIZE,
 ) -> dict[str, McEstimate]:
     """Means of named columns over one Gaussian pass, keyed like ``columns``.
 
@@ -249,31 +246,8 @@ def run_pass(
             out[:, j], rejected[j] = fn(vals)
         return out, rejected
 
-    ests = run_chunked_multi(sample_chunk, n, seed, len(fns), workers, chunk_size)
+    ests = run_chunked_multi(sample_chunk, n, seed, len(fns), workers)
     return dict(zip(names, ests))
-
-
-# -- catalog of analytic functionals ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class MomentFunctional:
-    """E[(F + shift)^power]; negative bases with fractional power are rejected."""
-
-    power: float
-    shift: float = 0.0
-
-
-@dataclass(frozen=True)
-class IndicatorFunctional:
-    """E[1_{F + shift > x} weight(F + shift)]; weight None means 1."""
-
-    x: float
-    shift: float = 0.0
-    weight: Callable[[np.ndarray], np.ndarray] | None = None
-
-
-Functional = MomentFunctional | IndicatorFunctional
 
 
 def power_column(*factors: tuple[str, float, float]) -> Column:
@@ -294,29 +268,6 @@ def power_column(*factors: tuple[str, float, float]) -> Column:
         return out, int(np.sum(bad))
 
     return column
-
-
-def mc_expect(
-    F: ChaosVector,
-    g: Functional,
-    n: int,
-    seed: int,
-    workers: int = 1,
-    chunk_size: int = CHUNK_SIZE,
-) -> McEstimate:
-    """Monte Carlo expectation of a catalog functional of F."""
-    if isinstance(g, MomentFunctional):
-        column = power_column(("F", g.shift, g.power))
-    elif isinstance(g, IndicatorFunctional):
-
-        def column(vals):
-            y = vals["F"] + g.shift
-            wt = np.ones_like(y) if g.weight is None else g.weight(y)
-            return np.where(y > g.x, wt, 0.0), 0
-
-    else:
-        raise TypeError(f"unknown functional {type(g).__name__}")
-    return run_pass({"F": F}, {"value": column}, n, seed, workers, chunk_size)["value"]
 
 
 # -- Malliavin density estimator ---------------------------------------------------
@@ -400,7 +351,6 @@ def density_malliavin(
     n: int,
     seed: int,
     workers: int = 1,
-    chunk_size: int = CHUNK_SIZE,
 ) -> list[McEstimate]:
     """Estimate the k-th derivative of the density of F + alpha at points xs.
 
@@ -409,7 +359,7 @@ def density_malliavin(
     REJECT_EPS are rejected and counted.
     """
     cols = density_columns(alpha, k, xs)
-    return list(run_pass(estimator_vectors(F, k), cols, n, seed, workers, chunk_size).values())
+    return list(run_pass(estimator_vectors(F, k), cols, n, seed, workers).values())
 
 
 def density_kde(
@@ -420,7 +370,6 @@ def density_kde(
     bandwidth: float,
     seed: int,
     workers: int = 1,
-    chunk_size: int = CHUNK_SIZE,
 ) -> list[McEstimate]:
     """Gaussian-kernel density estimate of F + alpha at points xs."""
     if bandwidth <= 0:
@@ -432,7 +381,7 @@ def density_kde(
         return norm * np.exp(-0.5 * u * u), 0
 
     cols = {f"kde[{j}]": partial(column, x=float(x)) for j, x in enumerate(xs)}
-    return list(run_pass({"F": F}, cols, n, seed, workers, chunk_size).values())
+    return list(run_pass({"F": F}, cols, n, seed, workers).values())
 
 
 # -- characteristic function oracle ------------------------------------------------
@@ -447,15 +396,11 @@ def _second_chaos_cf(zeta: Sequence[float], alpha: float, t: np.ndarray) -> np.n
     return np.exp(log_phi)
 
 
-def density_cf_oracle(
-    spec: SecondChaosSpec,
-    xs: Sequence[float],
-    rtol: float = 1e-6,
-    max_refinements: int = 4,
-) -> list[float]:
+def density_cf_oracle(spec: SecondChaosSpec, xs: Sequence[float]) -> list[float]:
     """Density of F + alpha by Fourier inversion of the closed-form
-    characteristic function; adaptive tolerance tightened until two
-    consecutive runs agree within rtol at every point."""
+    characteristic function; adaptive tolerance tightened, at most
+    _CF_REFINEMENTS times, until two consecutive runs agree within _CF_RTOL
+    at every point."""
     from scipy.integrate import quad
 
     re_phi = lambda t: np.real(_second_chaos_cf(spec.zeta, spec.alpha, t))
@@ -473,15 +418,15 @@ def density_cf_oracle(
     for x in xs:
         epsabs = 1e-8
         prev = invert(float(x), epsabs)
-        for _ in range(max_refinements):
+        for _ in range(_CF_REFINEMENTS):
             cur = invert(float(x), epsabs / 10.0)
-            if abs(cur - prev) <= rtol * max(1.0, abs(cur)):
+            if abs(cur - prev) <= _CF_RTOL * max(1.0, abs(cur)):
                 out.append(cur)
                 break
             prev, epsabs = cur, epsabs / 10.0
         else:
             raise RuntimeError(
                 f"characteristic-function inversion did not stabilize at x={x}: "
-                f"last two values differ by {abs(cur - prev):.3e} (> {rtol})"
+                f"last two values differ by {abs(cur - prev):.3e} (> {_CF_RTOL})"
             )
     return out

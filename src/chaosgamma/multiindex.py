@@ -34,11 +34,6 @@ def merge(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     return tuple(sorted(a + b))
 
 
-def contains(m: MultiIndex, sub: MultiIndex) -> bool:
-    cm = Counter(m)
-    return all(cm[v] >= k for v, k in Counter(sub).items())
-
-
 def subtract(m: MultiIndex, sub: MultiIndex) -> MultiIndex:
     """m minus sub, counting multiplicity.  Caller guarantees containment."""
     cm = Counter(m)
@@ -117,7 +112,3 @@ def distinct_permutations(m: MultiIndex) -> Iterator[MultiIndex]:
                 counter[v] += 1
 
     yield from rec()
-
-
-def counts(m: MultiIndex) -> dict[int, int]:
-    return dict(Counter(m))

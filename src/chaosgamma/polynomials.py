@@ -14,7 +14,6 @@ standard three-term recurrence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -80,10 +79,6 @@ class PolySpec:
         if not c:
             c = (0.0,)
         object.__setattr__(self, "coeffs", c)
-
-    @staticmethod
-    def from_coeffs(coeffs: Sequence[float]) -> "PolySpec":
-        return PolySpec(tuple(coeffs))
 
     @property
     def degree(self) -> int:

@@ -33,7 +33,7 @@ from .chaos import (
     wbar,
 )
 from .gamma import gamma_pdf_deriv, nu_coefficients, nu_weight, signed_products
-from .mc import CHUNK_SIZE, McEstimate, run_pass
+from .mc import McEstimate, run_pass
 
 __all__ = [
     "SteinSolution",
@@ -48,6 +48,8 @@ __all__ = [
 
 _SERIES_EPS = 1e-17
 _LARGE_Y = 400.0
+# absolute tolerance of every adaptive quadrature in the "quad" solve
+_EPSABS = 1e-12
 
 
 def _branch(x: float) -> str:
@@ -55,8 +57,10 @@ def _branch(x: float) -> str:
 
 
 def _check_branch(alpha: float, k: int, x: float) -> str:
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    if not math.isfinite(x):
+        raise ValueError(f"threshold x must be finite, got {x!r}")
     if not 0 <= k:
         raise ValueError("k must be nonnegative")
     br = _branch(x)
@@ -286,16 +290,16 @@ def _solve_exact_point(
     return f, fp
 
 
-def _quad_checked(fn, a, b, pts, epsabs):
+def _quad_checked(fn, a, b, pts):
     from scipy.integrate import IntegrationWarning, quad
 
     # the error estimate is checked by hand below, so the library's own
     # roundoff warning is redundant noise here
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(fn, a, b, points=pts or None, epsabs=epsabs, epsrel=1e-12, limit=300)
+        val, err = quad(fn, a, b, points=pts or None, epsabs=_EPSABS, epsrel=1e-12, limit=300)
         if err > max(1e-10, 1e-9 * abs(val)):
-            val, err = quad(fn, a, b, points=pts or None, epsabs=epsabs, epsrel=1e-13, limit=1000)
+            val, err = quad(fn, a, b, points=pts or None, epsabs=_EPSABS, epsrel=1e-13, limit=1000)
             if err > max(1e-9, 1e-8 * abs(val)):
                 raise RuntimeError(
                     f"quadrature error estimate {err:.2e} too large on [{a}, {b}]"
@@ -304,7 +308,7 @@ def _quad_checked(fn, a, b, pts, epsabs):
 
 
 def _solve_quad_point(
-    alpha: float, k: int, x: float, br: str, rhs, y: float, epsabs: float
+    alpha: float, k: int, x: float, br: str, rhs, y: float
 ) -> tuple[float, float]:
     """One grid point by adaptive quadrature, at the scale of f itself.
 
@@ -328,7 +332,7 @@ def _solve_quad_point(
             def integrand_v(v):
                 return math.exp(t * (v - 1.0)) * v ** (alpha - 1.0) * rhs(-t * v)
 
-            f = _quad_checked(integrand_v, v0, 1.0, None, epsabs)
+            f = _quad_checked(integrand_v, v0, 1.0, None)
         else:
             # v = u^(1/m) flattens the combined v^(alpha-1) g(-tv) endpoint
             # singularity; the weight contributes v^-(k+1) on the origin branch
@@ -346,7 +350,7 @@ def _solve_quad_point(
                     / m
                 )
 
-            f = _quad_checked(integrand_u, 0.0, 1.0, None, epsabs)
+            f = _quad_checked(integrand_u, 0.0, 1.0, None)
         fp = (1.0 + alpha / t) * f - g_y / t
         return f, fp
     if br != "positive":
@@ -358,7 +362,7 @@ def _solve_quad_point(
             return math.exp(y * (1.0 - v)) * rhs(y * v) / alpha
 
         pts = [(x / y) ** alpha] if x < y else None
-        f = _quad_checked(integrand_u, 0.0, 1.0, pts, epsabs)
+        f = _quad_checked(integrand_u, 0.0, 1.0, pts)
     else:
         # f = -(1/y) int_0^inf e^{-t} ((y+t)/y)^(alpha-1) g(y+t) dt
         def integrand_t(t):
@@ -367,11 +371,11 @@ def _solve_quad_point(
         t0 = x - y
         if t0 > 0:
             f = -(
-                _quad_checked(integrand_t, 0.0, t0, None, epsabs)
-                + _quad_checked(integrand_t, t0, np.inf, None, epsabs)
+                _quad_checked(integrand_t, 0.0, t0, None)
+                + _quad_checked(integrand_t, t0, np.inf, None)
             ) / y
         else:
-            f = -_quad_checked(integrand_t, 0.0, np.inf, None, epsabs) / y
+            f = -_quad_checked(integrand_t, 0.0, np.inf, None) / y
     fp = (1.0 - alpha / y) * f + g_y / y
     return f, fp
 
@@ -382,7 +386,6 @@ def solve(
     x: float,
     grid: Sequence[float],
     method: str = "exact",
-    epsabs: float = 1e-12,
 ) -> SteinSolution:
     """Solve the Stein ODE on a grid (strictly increasing, excluding 0).
 
@@ -404,7 +407,7 @@ def solve(
         if method == "exact":
             f[i], fp[i] = _solve_exact_point(alpha, k, x, br, eh, rhs, y)
         elif method == "quad":
-            f[i], fp[i] = _solve_quad_point(alpha, k, x, br, rhs, y, epsabs)
+            f[i], fp[i] = _solve_quad_point(alpha, k, x, br, rhs, y)
         else:
             raise ValueError(f"unknown method {method!r}")
     return SteinSolution(alpha, k, float(x), tuple(g), f, fp, eh, method)
@@ -606,7 +609,6 @@ def stein_discrepancy(
     n: int,
     seed: int,
     workers: int = 1,
-    chunk_size: int = CHUNK_SIZE,
 ) -> SteinDiscrepancy:
     """Monte Carlo left side |E h(F+alpha) - E h(G)| against the product
     bound sqrt(E env(F+alpha)^2) * E[(F+alpha - <DF, -DL^{-1}F>)^2]^{1/2},
@@ -644,5 +646,5 @@ def stein_discrepancy(
     def env_sq(vals):
         return env.bound(vals["F"] + alpha) ** 2, 0
 
-    ests = run_pass({"F": F}, {"h": h, "env": env_sq}, n, seed, workers, chunk_size)
+    ests = run_pass({"F": F}, {"h": h, "env": env_sq}, n, seed, workers)
     return SteinDiscrepancy(alpha, k, float(x), ests["h"], eh, ests["env"], l2)

@@ -142,9 +142,6 @@ class SymTensor:
     def __getitem__(self, indices: Iterable[int]) -> float:
         return self.coeffs.get(as_multi_index(tuple(indices)), 0.0)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(v) <= tol for v in self.coeffs.values())
-
     def max_abs_coeff(self) -> float:
         return max((abs(v) for v in self.coeffs.values()), default=0.0)
 

@@ -243,6 +243,46 @@ def test_zeta_spec_rejects_nonpositive_alpha(tmp_path, capsys, alpha):
     assert "alpha must be positive" in err["error"]["message"]
 
 
+NAN, INF = float("nan"), float("inf")
+NAN_KERNEL = {"order": 2, "dim": 2, "entries": [[[0, 0], NAN]]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, flags, key",
+    [
+        ("bound", {**TIGHT, "xs": [3.0, NAN]}, [], "xs[1]"),
+        ("moments", {**TIGHT, "alpha": INF}, [], "alpha"),
+        (
+            "moments",
+            {"spec": {"chaos": {"dim": 2, "kernels": {"2": NAN_KERNEL}}}},
+            [],
+            "spec.chaos.kernels.2.entries[0][1]",
+        ),
+        ("moments", {"spec": {"zeta": [0.5] * 11 + [NAN]}}, [], "spec.zeta[11]"),
+        ("stein", {"alpha": 2.0}, ["--x", "nan"], "x"),
+        ("stein", {"alpha": 2.0, "x": 1.0, "grid": {"lo": 0.1, "hi": INF}}, [], "grid.hi"),
+    ],
+)
+def test_nonfinite_numbers_are_validation_errors(tmp_path, capsys, command, doc, flags, key):
+    """json.loads reads NaN and Infinity tokens and argparse reads "nan":
+    each must stop the run with exit 1 naming the key."""
+    cfg = write_config(tmp_path, doc)
+    code = main([command, "--config", cfg, "--out", str(tmp_path), *flags])
+    err, _ = last_json_line(capsys)
+    assert code == 1
+    assert err["error"]["type"] == "validation"
+    assert err["error"]["message"].startswith(f"{key} must be a finite number")
+
+
+def test_nonfinite_number_in_a_spec_file_is_a_validation_error(tmp_path, capsys):
+    spec = write_config(tmp_path, {"zeta": [0.5, NAN]}, name="spec.json")
+    cfg = write_config(tmp_path, {"spec": spec})
+    code = main(["moments", "--config", cfg, "--out", str(tmp_path)])
+    err, _ = last_json_line(capsys)
+    assert code == 1
+    assert err["error"]["message"].startswith("spec.zeta[1] must be a finite number")
+
+
 def test_missing_spec_rejected(tmp_path, capsys):
     code = main(["moments", "--out", str(tmp_path)])
     err, _ = last_json_line(capsys)

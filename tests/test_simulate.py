@@ -12,15 +12,12 @@ from chaosgamma.chaos import ChaosVector, evaluate, gradient_norm_sq, moment, se
 from chaosgamma.gamma import gamma_pdf
 from chaosgamma.mc import (
     CHUNK_SIZE,
-    IndicatorFunctional,
     McEstimate,
-    MomentFunctional,
     SecondChaosSpec,
     density_cf_oracle,
     density_kde,
     density_malliavin,
     estimator_vectors,
-    mc_expect,
     power_column,
     run_chunked,
     run_chunked_multi,
@@ -154,7 +151,8 @@ def test_mc_estimate_serialization_and_within():
 def test_moment_functional_matches_engine_moment():
     spec = perturbed_spec(11)
     F = spec.chaos_vector()
-    est = mc_expect(F, MomentFunctional(2.0, spec.alpha), 150_000, seed=12)
+    col = power_column(("F", spec.alpha, 2.0))
+    est = run_pass({"F": F}, {"E[(F+a)^2]": col}, 150_000, seed=12)["E[(F+a)^2]"]
     exact = moment(F + spec.alpha, 2)
     assert est.within(exact, sigmas=4.0)
 
@@ -172,7 +170,8 @@ def test_gradient_norm_functional_positive_power():
 def test_signed_power_rejections_are_counted():
     F = ChaosVector.gaussian([1.0])
     # E[(F+0)^(-1)] does not exist; samples near 0 and negatives are rejected
-    est = mc_expect(F, MomentFunctional(-1.0, 0.0), 20_000, seed=15)
+    col = power_column(("F", 0.0, -1.0))
+    est = run_pass({"F": F}, {"E[F^-1]": col}, 20_000, seed=15)["E[F^-1]"]
     assert est.n_rejected > 0
     # rejected samples are dropped as non-finite, so the two tallies agree
     assert est.n_nonfinite >= est.n_rejected
@@ -193,9 +192,11 @@ def test_mixed_negative_functional_runs():
 def test_indicator_functional_tail_probability():
     spec = perturbed_spec(18)
     F = spec.chaos_vector()
-    est = mc_expect(
-        F, IndicatorFunctional(x=spec.alpha, shift=spec.alpha, weight=None), 150_000, seed=19
-    )
+
+    def tail(vals):
+        return np.where(vals["F"] + spec.alpha > spec.alpha, 1.0, 0.0), 0
+
+    est = run_pass({"F": F}, {"P": tail}, 150_000, seed=19)["P"]
     # P(F + alpha > alpha) = P(F > 0); sanity interval only
     assert 0.2 < est.value < 0.8
 
@@ -228,6 +229,10 @@ def test_spec_validation():
         SecondChaosSpec(zeta=(), alpha=1.0)
     with pytest.raises(ValueError):
         SecondChaosSpec(zeta=(0.5,), alpha=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        SecondChaosSpec(zeta=(0.5, math.nan), alpha=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        SecondChaosSpec(zeta=(0.5,), alpha=math.inf)
 
 
 def test_spec_json_roundtrip():

@@ -117,6 +117,17 @@ def test_grid_validation():
         solve(2.0, 1, 0.0, (0.5, 1.0))  # origin threshold needs alpha > k + 1
 
 
+@pytest.mark.parametrize(
+    "alpha, x", [(2.0, math.nan), (2.0, math.inf), (math.nan, 1.0), (math.inf, 1.0)]
+)
+def test_nonfinite_threshold_or_alpha_is_refused(alpha, x):
+    """NaN fails every comparison, so it used to reach the origin branch."""
+    with pytest.raises(ValueError, match="finite"):
+        solve(alpha, 0, x, (0.5, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        envelope(alpha, 0, x)
+
+
 def test_rhs_closed_form():
     y = np.array([0.5, 1.5, 3.0])
     out = stein_rhs(2.0, 0, 1.0, y)
