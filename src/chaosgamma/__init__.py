@@ -21,7 +21,6 @@ from .bounds import (
     lambda_norm_expansion,
     lambda_norm_symmetrized,
     lambda_norm_symmetrized_expansion,
-    second_chaos_eigenvalues,
     second_derivative_defect_direct,
     second_derivative_defect_expansion,
     shifted_positive_moment,
@@ -63,8 +62,6 @@ from .gamma import (
 )
 from .mc import (
     McEstimate,
-    SecondChaosSpec,
-    density_cf_oracle,
     density_kde,
     density_malliavin,
     estimator_vectors,
@@ -74,6 +71,7 @@ from .mc import (
     substream,
 )
 from .polynomials import PolySpec, hermite_table, hermite_value, laguerre_value
+from .spectral import SecondChaosSpec, density_cf_oracle, second_chaos_eigenvalues
 from .stein import (
     SteinDiscrepancy,
     SteinEnvelope,

@@ -35,7 +35,6 @@ import numpy as np
 
 from .chaos import (
     DEFAULT_MAX_ORDER,
-    SPECTRUM_TOL,
     ChaosVector,
     covariance,
     expectation,
@@ -45,8 +44,6 @@ from .chaos import (
     moment,
     moment_order,
     multiply,
-    negative_moment_exists,
-    second_chaos_eigenvalues,
     second_moment,
     wbar,
 )
@@ -59,6 +56,12 @@ from .mc import (
     run_pass,
 )
 from .multiindex import MultiIndex, merge, permutation_count, sub_multisets
+from .spectral import (  # second_chaos_eigenvalues is re-exported
+    negative_moment_exists,
+    require_finite,
+    second_chaos_eigenvalues,
+    shifted_moment,
+)
 from .stein import SteinEnvelope, envelope
 from .tensors import SymTensor, contract_sym
 
@@ -179,16 +182,44 @@ def defect_domination_constant(q: int, k: int, l: int) -> float:
     constant for the full norm is an open question.
     """
     _check_kl(k, l, q)
-    lam = lambda_const(k, l, q)
-    ratios = []
-    for r in range(q - max(k, l) + 1):
-        if r == q // 2 - 1:
-            continue
-        num = lam**2 * tau_const(k, l, r, q) ** 2 * _fact(2 * q - k - l - 2 * r)
-        den = q**4 * _fact(r) ** 2 * _comb(q - 1, r) ** 4 * _fact(2 * q - 2 - 2 * r)
-        ratios.append(num / den)
-    ratios.append((_fact(q) ** 2 / _fact(q - k - l + 2)) / (_fact(q - 1) * q**3))
-    return max(ratios)
+    weights, align = _expansion_weights(q, (k, l))
+    theta_weights, theta_align = _expansion_weights(q)
+    return max([w / theta_weights[r] for r, w in weights.items()] + [align / theta_align])
+
+
+def _expansion_weights(
+    q: int, kl: tuple[int, int] | None = None
+) -> tuple[dict[int, float], float]:
+    """The weights of the contraction expansion of E[Theta^2] (kl None) or
+    of the symmetrized E||Lambda(k, l)||^2 (kl = (k, l)): w_r multiplies
+    ||f (x~)_(r+1) f||^2 for r != q/2 - 1, and the alignment weight
+    multiplies ||g||^2, g being ``_alignment_defect(f)``."""
+    if kl is None:
+        weights = {
+            r: q**4 * _fact(r) ** 2 * _comb(q - 1, r) ** 4 * _fact(2 * q - 2 - 2 * r)
+            for r in range(q - 1)
+        }
+        align = _fact(q - 1) * q**3
+    else:
+        k, l = kl
+        lam = lambda_const(k, l, q)
+        weights = {
+            r: lam**2 * tau_const(k, l, r, q) ** 2 * _fact(2 * q - k - l - 2 * r)
+            for r in range(q - max(k, l) + 1)
+        }
+        align = _fact(q) ** 2 / _fact(q - k - l + 2)
+    weights.pop(q // 2 - 1, None)
+    return weights, align
+
+
+def _weighted_expansion(f: SymTensor, kl: tuple[int, int] | None = None) -> float:
+    """sum_r w_r ||f (x~)_(r+1) f||^2 + (alignment weight) ||g||^2 with the
+    weights of ``_expansion_weights(f.order, kl)``."""
+    weights, align = _expansion_weights(f.order, kl)
+    total = 0.0
+    for r, w in weights.items():
+        total += w * contract_sym(f, f, r + 1).norm_sq()
+    return total + align * _alignment_defect(f).norm_sq()
 
 
 # -- exact defect constructions ----------------------------------------------------
@@ -249,20 +280,7 @@ def theta_variance_expansion(f: SymTensor, alpha: float) -> float:
     m2 = _fact(q) * f.norm_sq()
     if abs(m2 - alpha) > _ALPHA_TOL * max(1.0, abs(alpha)):
         raise ValueError(f"q! ||f||^2 = {m2!r} does not match alpha = {alpha!r}")
-    total = 0.0
-    for r in range(q - 1):
-        if r == q // 2 - 1:
-            continue
-        c = contract_sym(f, f, r + 1)
-        total += (
-            q**4
-            * _fact(r) ** 2
-            * _comb(q - 1, r) ** 4
-            * _fact(2 * q - 2 - 2 * r)
-            * c.norm_sq()
-        )
-    total += _fact(q - 1) * q**3 * _alignment_defect(f).norm_sq()
-    return total
+    return _weighted_expansion(f)
 
 
 def _alignment_defect(f: SymTensor) -> SymTensor:
@@ -281,44 +299,19 @@ def theta_variance_direct(f: SymTensor, alpha: float) -> float:
 
 
 def second_derivative_defect_expansion(f: SymTensor) -> float:
-    """E||2 D^2 F (x)_1 DF - q DF||^2 as a closed contraction-norm sum:
+    """E||2 D^2 F (x)_1 DF - q DF||^2 as a closed contraction-norm sum.
 
-        4 q^4 (q-1)^2 sum_{r != q/2-1} r!^2 ((q-r-1)/(q-1))^2 C(q-1, r)^4
-            (2q-3-2r)! ||f (x~)_(r+1) f||^2  +  (q-1)! q^4 ||g||^2,
-
-    with the same alignment defect g as in the variance expansion.
+    Since lambda(2, 1) = 2/q, 2 D^2 F (x)_1 DF - q DF = q Lambda(2, 1), and
+    the symmetrized expansion is exact at (2, 1), so this is
+    q^2 lambda_norm_symmetrized_expansion(f, 2, 1).
     """
-    q = f.order
-    if q < 2 or q % 2 != 0:
-        raise ValueError(f"kernel order {q} must be even and >= 2")
-    total = 0.0
-    for r in range(q - 1):
-        if r == q // 2 - 1:
-            continue
-        c = contract_sym(f, f, r + 1)
-        total += (
-            4.0
-            * q**4
-            * (q - 1) ** 2
-            * _fact(r) ** 2
-            * ((q - r - 1) / (q - 1)) ** 2
-            * _comb(q - 1, r) ** 4
-            * _fact(2 * q - 3 - 2 * r)
-            * c.norm_sq()
-        )
-    total += _fact(q - 1) * q**4 * _alignment_defect(f).norm_sq()
-    return total
+    return f.order**2 * lambda_norm_symmetrized_expansion(f, 2, 1)
 
 
 def second_derivative_defect_direct(f: SymTensor) -> float:
-    """E||2 D^2 F (x)_1 DF - q DF||^2 summed component by component in the
-    engine (independent route)."""
-    q = f.order
-    comps = _contraction_defect_components(f, 2, 1, 2.0, float(q))
-    return sum(
-        permutation_count(J) * permutation_count(K) * second_moment(c)
-        for (J, K), c in comps.items()
-    )
+    """E||2 D^2 F (x)_1 DF - q DF||^2 = q^2 lambda_norm_direct(f, 2, 1),
+    summed component by component in the engine (independent route)."""
+    return f.order**2 * lambda_norm_direct(f, 2, 1)
 
 
 # -- the tensor-valued defect field -------------------------------------------------
@@ -405,10 +398,10 @@ def _derivative_component(
 
 
 def _contraction_defect_components(
-    f: SymTensor, k: int, l: int, c_contr: float, c_sub: float
+    f: SymTensor, k: int, l: int, c_contr: float
 ) -> dict[tuple[MultiIndex, MultiIndex], ChaosVector]:
-    """Components of c_contr * D^k F (x)_1 D^l F - c_sub * D^(k+l-2) F,
-    grouped by the (J, K) multi-index split."""
+    """Components of c_contr * D^k F (x)_1 D^l F - D^(k+l-2) F, grouped by
+    the (J, K) multi-index split."""
     q, d = f.order, f.dim
     supp = sorted(f.support())
     budget = max(DEFAULT_MAX_ORDER, 2 * q)
@@ -428,7 +421,7 @@ def _contraction_defect_components(
             if acc is not None:
                 comp = acc.scale(c_contr)
             if sub is not None:
-                comp = sub.scale(-c_sub) if comp is None else comp - sub.scale(c_sub)
+                comp = sub.scale(-1.0) if comp is None else comp - sub
             if comp is not None and (comp.constant != 0.0 or comp.kernels):
                 out[(J, K)] = comp
     return out
@@ -439,7 +432,7 @@ def lambda_field(f: SymTensor, k: int, l: int) -> LambdaField:
     q = f.order
     _check_kl(k, l, q)
     lam = lambda_const(k, l, q)
-    comps = _contraction_defect_components(f, k, l, lam, 1.0)
+    comps = _contraction_defect_components(f, k, l, lam)
     return LambdaField(q, k, l, f.dim, comps)
 
 
@@ -512,22 +505,8 @@ def lambda_norm_symmetrized_expansion(f: SymTensor, k: int, l: int) -> float:
     q = 4, (k, l) = (3, 3) on the seed-203 acceptance kernels, and by up to
     about 25 percent on other random order-4 kernels.
     """
-    q = f.order
-    _check_kl(k, l, q)
-    lam = lambda_const(k, l, q)
-    total = 0.0
-    for r in range(q - max(k, l) + 1):
-        if r == q // 2 - 1:
-            continue
-        c = contract_sym(f, f, r + 1)
-        total += (
-            lam**2
-            * tau_const(k, l, r, q) ** 2
-            * _fact(2 * q - k - l - 2 * r)
-            * c.norm_sq()
-        )
-    total += (_fact(q) ** 2 / _fact(q - k - l + 2)) * _alignment_defect(f).norm_sq()
-    return total
+    _check_kl(k, l, f.order)
+    return _weighted_expansion(f, (k, l))
 
 
 def dtheta_identity_check(f: SymTensor, tol: float = 1e-12) -> bool:
@@ -555,26 +534,6 @@ def dtheta_identity_check(f: SymTensor, tol: float = 1e-12) -> bool:
 # -- moment machinery ---------------------------------------------------------------
 
 
-def _moments_from_cumulants(kappa: list[float], p: int) -> float:
-    """E[X^p] from cumulants kappa[0] = k_1, ... via the standard recursion."""
-    m = [1.0]
-    for j in range(1, p + 1):
-        m.append(
-            math.fsum(
-                math.comb(j - 1, i) * kappa[i] * m[j - 1 - i] for i in range(j)
-            )
-        )
-    return m[p]
-
-
-def _second_chaos_shifted_moment(zeta: np.ndarray, alpha: float, p: int) -> float:
-    """E[(F + alpha)^p] for F = sum zeta_i (Y_i^2 - 1), exact via cumulants."""
-    kappa = [float(alpha)]
-    for mth in range(2, p + 1):
-        kappa.append(2.0 ** (mth - 1) * _fact(mth - 1) * float(np.sum(zeta**mth)))
-    return _moments_from_cumulants(kappa, p)
-
-
 def shifted_positive_moment(
     F: ChaosVector, alpha: float, exponent: float
 ) -> tuple[float, str] | None:
@@ -595,7 +554,7 @@ def shifted_positive_moment(
     if abs(exponent - e_int) < 1e-12:
         zeta = second_chaos_eigenvalues(F)
         if zeta is not None:
-            return _second_chaos_shifted_moment(zeta, alpha, e_int), "spectral"
+            return shifted_moment(zeta, alpha, e_int), "spectral"
         if moment_order(F, e_int) <= 12:
             budget = max(F.max_order, moment_order(F, e_int))
             return moment((F + float(alpha)).with_budget(budget), e_int), "chaos-product"
@@ -620,8 +579,8 @@ def even_chaos_moments(F: ChaosVector, alpha: float) -> dict:
     Fb = F.with_budget(max(F.max_order, moment_order(F, 4)))
     zeta = second_chaos_eigenvalues(F)
     if zeta is not None:
-        m3 = _second_chaos_shifted_moment(zeta, 0.0, 3)
-        m4 = _second_chaos_shifted_moment(zeta, 0.0, 4)
+        m3 = shifted_moment(zeta, 0.0, 3)
+        m4 = shifted_moment(zeta, 0.0, 4)
     else:
         F2 = multiply(Fb, Fb)
         m3 = Fb.constant * F2.constant + covariance(Fb, F2)
@@ -775,29 +734,10 @@ def _variance_flag(zeta: np.ndarray | None, alpha: float, factors: tuple) -> str
 
 def _refuse_spectrum(zeta: np.ndarray, alpha: float, columns: Mapping[str, tuple]) -> None:
     """Refuses a second-chaos spectrum on which the mean of a Monte Carlo
-    column is infinite: a negative eigenvalue or shift gap lets F + alpha
-    reach zero with positive density, and ``negative_moment_exists`` must
-    certify every column E[w^-a (F+alpha)^-b]."""
-    if np.any(zeta < -SPECTRUM_TOL):
-        raise ValueError(
-            "the second-chaos spectrum has negative eigenvalues, so F + alpha"
-            " crosses zero with positive density and E[(F+alpha)^-2] diverges"
-        )
-    gap = alpha - float(np.sum(zeta))
-    if gap < -SPECTRUM_TOL:
-        raise ValueError(
-            f"shift gap alpha - sum(zeta) = {gap!r} is negative, so F + alpha"
-            " is not almost surely nonnegative and the negative moments diverge"
-        )
+    column E[w^-a (F+alpha)^-b] is infinite, by ``spectral.require_finite``."""
     for label, factors in columns.items():
         a, b = _negative_powers(factors)
-        if not negative_moment_exists(zeta, alpha, a, b):
-            at_gap, m_min = ("a positive", 2 * a) if gap > SPECTRUM_TOL else ("zero", 2 * (a + b))
-            raise ValueError(
-                f"the Monte Carlo column {label} has no finite mean: at {at_gap} shift gap"
-                f" it takes more than {m_min:g} nonzero eigenvalues; this spectrum has"
-                f" {int(np.sum(zeta > SPECTRUM_TOL))} positive eigenvalues"
-            )
+        require_finite(zeta, alpha, a, b, f"the mean of the Monte Carlo column {label}")
 
 
 def _assemble_bound(
@@ -938,7 +878,7 @@ def assemble_density_bound(
     Second-chaos inputs are refused when the spectrum cannot support a
     Monte Carlo column E[||DF||^-2a (F+alpha)^-b]: a negative eigenvalue or
     shift gap alpha - sum zeta_i, or m positive eigenvalues too few for
-    ``chaos.negative_moment_exists`` (the gradient-weight columns alone
+    ``spectral.negative_moment_exists`` (the gradient-weight columns alone
     need m >= 7 at a positive gap and m >= 9 at gap 0).  For higher orders
     the existence is flagged as unverified instead.
     """
@@ -1005,7 +945,7 @@ def assemble_general_bound(
     Pure second-chaos inputs are refused when the spectrum cannot support a
     Monte Carlo column E[wbar^-a (F+alpha)^-b]: a negative eigenvalue or
     shift gap, or m positive eigenvalues too few for
-    ``chaos.negative_moment_exists`` (E[wbar^-6] alone needs m >= 13).
+    ``spectral.negative_moment_exists`` (E[wbar^-6] alone needs m >= 13).
     Otherwise existence is flagged as unverified.
     """
     if s not in (4, 8, 12):

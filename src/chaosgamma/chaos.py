@@ -27,15 +27,13 @@ holds exactly, and all operators below are exact kernel manipulations:
 Products can only grow the chaos order, so every vector carries an order
 budget; exceeding it raises ``OrderBudgetError`` instead of silently building
 an enormous expansion; ``moment_order`` gives the order ``moment`` needs.
-For pure second chaos, ``negative_moment_exists`` is the one rule that
-decides which negative moments are finite.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from math import comb, factorial, isfinite
+from math import comb, factorial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -62,10 +60,6 @@ __all__ = [
     "carre_du_champ",
     "gradient_norm_sq",
     "wbar",
-    "SPECTRUM_TOL",
-    "second_chaos_eigenvalues",
-    "negative_moment_exists",
-    "SecondChaosSpec",
     "needed_degree",
     "evaluate",
     "eval_jet",
@@ -403,93 +397,6 @@ def wbar(F: ChaosVector) -> ChaosVector:
     """
     DLinv = malliavin_derivative(generator_inverse(F))
     return malliavin_derivative(F).inner(DLinv.scale(-1.0))
-
-
-# -- second chaos ---------------------------------------------------------------
-
-# eigenvalues and shift gaps within this of zero count as zero
-SPECTRUM_TOL = 1e-12
-
-
-def second_chaos_eigenvalues(F: ChaosVector) -> np.ndarray | None:
-    """Spectrum of the order-2 kernel when F is pure second chaos, else None.
-
-    F = sum_i zeta_i (Y_i^2 - 1) in the eigenbasis, so every moment and
-    cumulant of F is a closed function of the returned eigenvalues.
-    """
-    if not F.is_pure_chaos() or F.top_order != 2:
-        return None
-    return np.linalg.eigvalsh(F.kernel(2).to_dense())
-
-
-def negative_moment_exists(zeta, alpha: float, a: float, b: float) -> bool:
-    """Whether E[w^-a (F+alpha)^-b] is finite for F = sum_i zeta_i (Y_i^2 - 1),
-    w = ||DF||^2 = 4 sum_i zeta_i^2 Y_i^2 or wbar = w/2.
-
-    With m nonzero eigenvalues P(w < eps) ~ eps^(m/2): E[w^-a] < inf iff
-    m > 2a.  F + alpha = sum_i zeta_i Y_i^2 + alpha - sum(zeta): a negative
-    gap alpha - sum(zeta) or eigenvalue lets it reach 0 with positive
-    density, a positive gap keeps it off 0, and at gap 0 E[(F+alpha)^-b]
-    < inf iff m > 2b.  For a mixed moment on a nonnegative spectrum, a
-    positive gap keeps F + alpha in [gap, gap + O(|Y|^2)] where w is small,
-    so it is finite iff m > 2a; at gap 0 both w and F + alpha are of order
-    |Y|^2 on the m active coordinates, so it is finite iff m > 2(a + b).
-    """
-    zeta = np.asarray(zeta, dtype=float)
-    m = int(np.sum(np.abs(zeta) > SPECTRUM_TOL))
-    gap = alpha - float(np.sum(zeta))
-    if b > 0 and (gap < -SPECTRUM_TOL or np.any(zeta < -SPECTRUM_TOL)):
-        return False
-    if b <= 0:
-        return a <= 0 or m > 2 * a
-    if a <= 0:
-        return gap > SPECTRUM_TOL or m > 2 * b
-    return m > 2 * a if gap > SPECTRUM_TOL else m > 2 * (a + b)
-
-
-@dataclass(frozen=True)
-class SecondChaosSpec:
-    """F = sum_i zeta_i (Z_i^2 - 1) with non-increasing positive weights,
-    approximated against a Gamma(alpha) target via the shift F + alpha."""
-
-    zeta: tuple[float, ...]
-    alpha: float
-
-    def __post_init__(self) -> None:
-        z = tuple(float(v) for v in self.zeta)
-        if not z:
-            raise ValueError("zeta must be non-empty")
-        if not all(isfinite(v) for v in z):
-            raise ValueError(f"zeta entries must be finite, got {z}")
-        if any(v <= 0 for v in z):
-            raise ValueError("zeta entries must be positive")
-        if any(z[i] < z[i + 1] for i in range(len(z) - 1)):
-            raise ValueError("zeta must be non-increasing")
-        object.__setattr__(self, "zeta", z)
-        object.__setattr__(self, "alpha", float(self.alpha))
-        if not (self.alpha > 0 and isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
-
-    def variance(self) -> float:
-        return 2.0 * sum(v * v for v in self.zeta)
-
-    def shift_gap(self) -> float:
-        """alpha - sum(zeta); nonnegative keeps F + alpha > 0 almost surely."""
-        return self.alpha - sum(self.zeta)
-
-    def chaos_vector(self) -> ChaosVector:
-        return ChaosVector.second_chaos_diagonal(self.zeta)
-
-    def negative_moment_finite(self, p: float) -> bool:
-        """Whether both E[(F+alpha)^-p] and E[||DF||^-2p] are finite."""
-        return all(negative_moment_exists(self.zeta, self.alpha, a, b) for a, b in ((p, 0), (0, p)))
-
-    def to_json_dict(self) -> dict:
-        return {"zeta": list(self.zeta), "alpha": self.alpha}
-
-    @staticmethod
-    def from_json_dict(doc: Mapping) -> "SecondChaosSpec":
-        return SecondChaosSpec(tuple(doc["zeta"]), float(doc["alpha"]))
 
 
 # -- evaluation -----------------------------------------------------------------

@@ -70,7 +70,6 @@ from .bounds import (
 from .chaos import (
     ChaosVector,
     OrderBudgetError,
-    SecondChaosSpec,
     carre_du_champ,
     divergence,
     eval_jet,
@@ -84,6 +83,7 @@ from .chaos import (
 )
 from .gamma import gamma_pdf_deriv
 from .mc import density_malliavin
+from .spectral import SecondChaosSpec
 from .stein import envelope, solve
 from .tensors import SymTensor, symmetrize
 
@@ -133,6 +133,24 @@ def _reject_nonfinite(node, key: str) -> None:
     elif isinstance(node, list):
         for i, v in enumerate(node):
             _reject_nonfinite(v, f"{key}[{i}]")
+
+
+def _integer(value, key: str) -> int:
+    """``value`` as an int when it is an integral number (2e5 is fine, 2.5,
+    true and "2" are not); else a ConfigError naming ``key``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
+def _number(value, key: str) -> float:
+    """``value`` as a float when it is a number (not a bool); else a
+    ConfigError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def _load_config(path: str | None) -> tuple[dict, str]:
@@ -215,11 +233,11 @@ def _resolve(args, doc: dict):
         spec_node=doc.get("spec"),
         alpha=pick(args.alpha, "alpha"),
         xs=xs,
-        n=int(pick(args.n, None, mc.get("n", 200_000))),
-        seed=int(pick(args.seed, None, mc.get("seed", 0))),
-        k=int(pick(args.k, "k", 0)),
+        n=_integer(pick(args.n, None, mc.get("n", 200_000)), "mc.n"),
+        seed=_integer(pick(args.seed, None, mc.get("seed", 0)), "mc.seed"),
+        k=_integer(pick(args.k, "k", 0), "k"),
         route=pick(getattr(args, "route", None), "route"),
-        s=pick(getattr(args, "s", None), "s"),
+        s=_integer(pick(getattr(args, "s", None), "s", 8), "s"),
         method=pick(getattr(args, "method", None), "method", "exact"),
         x=pick(getattr(args, "x", None), "x"),
         grid=doc.get("grid"),
@@ -298,8 +316,7 @@ def _run_bound(ns, F: ChaosVector, alpha: float):
     if route == "chaos-moment":
         return assemble_density_bound(F, alpha, xs, ns.n, ns.seed, ns.workers)
     if route == "malliavin-general":
-        s = int(ns.s) if ns.s is not None else 8
-        return assemble_general_bound(F, alpha, xs, ns.n, ns.seed, s, ns.workers)
+        return assemble_general_bound(F, alpha, xs, ns.n, ns.seed, ns.s, ns.workers)
     raise ConfigError(f"route must be 'chaos-moment' or 'malliavin-general', got {route!r}")
 
 
@@ -365,11 +382,15 @@ def _stein_grid(node) -> list[float]:
     if node is None:
         node = {}
     if isinstance(node, list):
-        return [float(v) for v in node]
-    lo = float(node.get("lo", 1e-3))
-    hi = float(node.get("hi", 50.0))
-    points = int(node.get("points", 40))
-    two_sided = bool(node.get("two_sided", True))
+        return [_number(v, f"grid[{i}]") for i, v in enumerate(node)]
+    if not isinstance(node, dict):
+        raise ConfigError("grid must be an object or a list of points")
+    lo = _number(node.get("lo", 1e-3), "grid.lo")
+    hi = _number(node.get("hi", 50.0), "grid.hi")
+    points = _integer(node.get("points", 40), "grid.points")
+    two_sided = node.get("two_sided", True)
+    if not isinstance(two_sided, bool):
+        raise ConfigError(f"grid.two_sided must be true or false, got {two_sided!r}")
     if not (0 < lo < hi) or points < 2:
         raise ConfigError("grid needs 0 < lo < hi and points >= 2")
     right = np.geomspace(lo, hi, points)
@@ -380,7 +401,7 @@ def _stein_grid(node) -> list[float]:
 def cmd_stein(ns, cfg_sha: str, outdir: Path) -> tuple[int, dict]:
     if ns.alpha is None or ns.x is None:
         raise ConfigError("stein needs 'alpha' and the evaluation point 'x'")
-    alpha, k, x = float(ns.alpha), int(ns.k), float(ns.x)
+    alpha, k, x = float(ns.alpha), ns.k, float(ns.x)
     grid = _stein_grid(ns.grid)
     sol = solve(alpha, k, x, grid, method=ns.method)
     env = envelope(alpha, k, x)

@@ -21,7 +21,6 @@ from scipy.special import gammaincinv, ndtri
 
 from .chaos import (
     ChaosVector,
-    SecondChaosSpec,
     carre_du_champ,
     evaluate,
     generator,
@@ -29,6 +28,7 @@ from .chaos import (
     needed_degree,
 )
 from .polynomials import hermite_table
+from .spectral import SecondChaosSpec, density_cf_oracle  # re-exported
 
 __all__ = [
     "CHUNK_SIZE",
@@ -52,9 +52,6 @@ __all__ = [
 CHUNK_SIZE = 16384
 REJECT_EPS = 1e-12
 HEAVY_TAIL_SHARE = 0.05
-# agreement and tightening budget of the characteristic-function inversion
-_CF_RTOL = 1e-6
-_CF_REFINEMENTS = 4
 
 _U_LO = np.finfo(float).tiny
 _U_HI = 1.0 - np.finfo(float).epsneg
@@ -382,51 +379,3 @@ def density_kde(
 
     cols = {f"kde[{j}]": partial(column, x=float(x)) for j, x in enumerate(xs)}
     return list(run_pass({"F": F}, cols, n, seed, workers).values())
-
-
-# -- characteristic function oracle ------------------------------------------------
-
-
-def _second_chaos_cf(zeta: Sequence[float], alpha: float, t: np.ndarray) -> np.ndarray:
-    """Characteristic function of F + alpha for diagonal second chaos."""
-    t = np.asarray(t, dtype=float)
-    log_phi = 1j * alpha * t
-    for z in zeta:
-        log_phi = log_phi - 0.5 * np.log(1.0 - 2j * z * t) - 1j * z * t
-    return np.exp(log_phi)
-
-
-def density_cf_oracle(spec: SecondChaosSpec, xs: Sequence[float]) -> list[float]:
-    """Density of F + alpha by Fourier inversion of the closed-form
-    characteristic function; adaptive tolerance tightened, at most
-    _CF_REFINEMENTS times, until two consecutive runs agree within _CF_RTOL
-    at every point."""
-    from scipy.integrate import quad
-
-    re_phi = lambda t: np.real(_second_chaos_cf(spec.zeta, spec.alpha, t))
-    im_phi = lambda t: np.imag(_second_chaos_cf(spec.zeta, spec.alpha, t))
-
-    def invert(x: float, epsabs: float) -> float:
-        if x == 0.0:
-            val, _ = quad(re_phi, 0.0, np.inf, epsabs=epsabs, limit=400)
-            return val / math.pi
-        c, _ = quad(re_phi, 0.0, np.inf, weight="cos", wvar=x, epsabs=epsabs, limit=400)
-        s, _ = quad(im_phi, 0.0, np.inf, weight="sin", wvar=x, epsabs=epsabs, limit=400)
-        return (c + s) / math.pi
-
-    out = []
-    for x in xs:
-        epsabs = 1e-8
-        prev = invert(float(x), epsabs)
-        for _ in range(_CF_REFINEMENTS):
-            cur = invert(float(x), epsabs / 10.0)
-            if abs(cur - prev) <= _CF_RTOL * max(1.0, abs(cur)):
-                out.append(cur)
-                break
-            prev, epsabs = cur, epsabs / 10.0
-        else:
-            raise RuntimeError(
-                f"characteristic-function inversion did not stabilize at x={x}: "
-                f"last two values differ by {abs(cur - prev):.3e} (> {_CF_RTOL})"
-            )
-    return out

@@ -24,16 +24,10 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln
 
-from .chaos import (
-    ChaosVector,
-    expectation,
-    negative_moment_exists,
-    second_chaos_eigenvalues,
-    second_moment,
-    wbar,
-)
+from .chaos import ChaosVector, expectation, second_moment, wbar
 from .gamma import gamma_pdf_deriv, nu_coefficients, nu_weight, signed_products
 from .mc import McEstimate, run_pass
+from .spectral import require_finite, second_chaos_eigenvalues
 
 __all__ = [
     "SteinSolution",
@@ -69,14 +63,6 @@ def _check_branch(alpha: float, k: int, x: float) -> str:
             f"threshold x = 0 requires alpha > k + 1 (got alpha={alpha}, k={k})"
         )
     return br
-
-
-def _abs_products(alpha: float, n: int) -> list[float]:
-    """prod_{j=1}^{i} |j - alpha| for i = 0..n."""
-    out = [1.0]
-    for j in range(1, n + 1):
-        out.append(out[-1] * abs(j - alpha))
-    return out
 
 
 def _nu_neg_axis_coeffs(alpha: float, k: int) -> list[float]:
@@ -459,8 +445,9 @@ def _merge_max(maps: list[dict[float, float]]) -> dict[float, float]:
 
 def _envelope_positive(alpha: float, k: int, x: float) -> SteinEnvelope:
     eh = abs(float(gamma_pdf_deriv(alpha, k, x)))
-    cabs = _abs_products(alpha, k + 1)
-    c = [math.comb(k + 1, i) * cabs[i] for i in range(k + 2)]
+    c = [abs(v) for v in nu_coefficients(alpha, k + 1)]
+    # prod_{j<=i} |j - alpha|: IEEE products round alike whatever the signs
+    cabs = [abs(v) for v in signed_products(alpha, max(k, math.ceil(alpha)))]
     bk = math.fsum(math.comb(k, i) * cabs[i] * x ** (-i) for i in range(k + 1))
     px = x ** (-alpha) + alpha * x ** (-alpha - 1.0)
     n_up = math.ceil(alpha) - 1
@@ -473,15 +460,14 @@ def _envelope_positive(alpha: float, k: int, x: float) -> SteinEnvelope:
     growth = {}
     for n in range(1, n_up + 1):
         growth[alpha - n] = max(
-            growth.get(alpha - n, 0.0), eh * px * _abs_products(alpha, n - 1)[n - 1]
+            growth.get(alpha - n, 0.0), eh * px * cabs[n - 1]
         )
     if alpha == math.floor(alpha):
         r_tail = math.gamma(alpha)  # (alpha-1)! exact termination
     else:
-        pn = _abs_products(alpha, math.ceil(alpha))
         r_tail = (
-            pn[math.ceil(alpha) - 1] * x ** (alpha - math.ceil(alpha))
-            + pn[math.ceil(alpha)] * x ** (alpha - math.ceil(alpha)) / (math.ceil(alpha) - alpha)
+            cabs[math.ceil(alpha) - 1] * x ** (alpha - math.ceil(alpha))
+            + cabs[math.ceil(alpha)] * x ** (alpha - math.ceil(alpha)) / (math.ceil(alpha) - alpha)
         )
     const_tail = (
         (1.0 / x + alpha / x**2) * bk
@@ -495,7 +481,7 @@ def _envelope_positive(alpha: float, k: int, x: float) -> SteinEnvelope:
     # |f| is bounded by a constant in every regime
     bracket = (
         math.fsum(
-            _abs_products(alpha, n - 1)[n - 1] * x ** (alpha - n) for n in range(1, n_up + 1)
+            cabs[n - 1] * x ** (alpha - n) for n in range(1, n_up + 1)
         )
         + r_tail
     )
@@ -513,8 +499,7 @@ def _envelope_positive(alpha: float, k: int, x: float) -> SteinEnvelope:
 
 def _envelope_negative(alpha: float, k: int, x: float) -> SteinEnvelope:
     ax = -x
-    cabs = _abs_products(alpha, k + 1)
-    c = [math.comb(k + 1, i) * cabs[i] for i in range(k + 2)]
+    c = [abs(v) for v in nu_coefficients(alpha, k + 1)]
     px = ax ** (-alpha) + alpha * ax ** (-alpha - 1.0)
 
     fp_terms: dict[float, float] = {}
@@ -540,8 +525,7 @@ def _envelope_negative(alpha: float, k: int, x: float) -> SteinEnvelope:
 
 
 def _envelope_origin(alpha: float, k: int) -> SteinEnvelope:
-    cabs = _abs_products(alpha, k + 1)
-    c = [math.comb(k + 1, i) * cabs[i] for i in range(k + 2)]
+    c = [abs(v) for v in nu_coefficients(alpha, k + 1)]
     f_terms = {-float(i): c[i] / (alpha - i) for i in range(k + 2)}
     fp_terms: dict[float, float] = {}
     for j in range(k + 3):
@@ -617,7 +601,7 @@ def stein_discrepancy(
     Both Monte Carlo means come from one Gaussian pass at ``seed``.  When F
     is pure second chaos the envelope-moment existence is prechecked on its
     spectrum: the squared envelope contains |F+alpha|^(-2p) terms, and
-    ``negative_moment_exists`` must certify the worst of them.
+    ``spectral.require_finite`` must certify the worst of them.
     """
     br = _check_branch(alpha, k, x)
     if abs(expectation(F)) > 1e-9:
@@ -627,12 +611,8 @@ def stein_discrepancy(
     env = envelope(alpha, k, x)
     zeta = second_chaos_eigenvalues(F)
     worst = -2.0 * min(p for p, _ in env.terms)
-    if zeta is not None and not negative_moment_exists(zeta, alpha, 0.0, worst):
-        raise ValueError(
-            f"envelope moment E[(F+alpha)^(-{worst:g})] is not finite for this"
-            " spectrum: it needs nonnegative eigenvalues and either a positive"
-            f" shift gap or more than {2 * worst:g} positive eigenvalues"
-        )
+    if zeta is not None:
+        require_finite(zeta, alpha, 0.0, worst, f"the envelope moment E[(F+alpha)^-{worst:g}]")
     eh = float(gamma_pdf_deriv(alpha, k, x)) if br == "positive" else 0.0
 
     mismatch = (F + alpha) - wbar(F)

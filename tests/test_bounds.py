@@ -147,6 +147,12 @@ def test_c1_values():
         c1_constant(3)
 
 
+@pytest.mark.parametrize("q", [2, 4, 6, 8, 10])
+def test_c1_closed_form_matches_the_shared_weight_table(q):
+    """2 D^2F (x)_1 DF - q DF = q Lambda(2, 1), so C1 is q^2 C(q, 2, 1)."""
+    assert q**2 * defect_domination_constant(q, 2, 1) == pytest.approx(c1_constant(q), rel=1e-15)
+
+
 # -- Theta and wbar ------------------------------------------------------------------
 
 

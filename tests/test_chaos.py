@@ -33,9 +33,9 @@ from chaosgamma.chaos import (
     malliavin_derivative,
     moment,
     multiply,
-    negative_moment_exists,
     second_moment,
 )
+from chaosgamma.spectral import negative_moment_exists
 from chaosgamma.tensors import SymTensor, symmetrize, tensor_from_dense
 
 RNG_SEED = 20260819

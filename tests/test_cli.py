@@ -274,6 +274,50 @@ def test_nonfinite_numbers_are_validation_errors(tmp_path, capsys, command, doc,
     assert err["error"]["message"].startswith(f"{key} must be a finite number")
 
 
+DENSITY = {**TIGHT, "xs": [3.0]}
+STEIN = {"alpha": 2.0, "x": 1.0}
+GENERAL13 = {"spec": {"zeta": [0.55] * 13}, "route": "malliavin-general", "mc": {"n": 1000}}
+
+
+@pytest.mark.parametrize(
+    "command, doc, key",
+    [
+        ("density", {**DENSITY, "mc": {"n": "abc"}}, "mc.n"),
+        ("density", {**DENSITY, "mc": {"n": 2000.9}}, "mc.n"),
+        ("density", {**DENSITY, "mc": {"n": 2000, "seed": True}}, "mc.seed"),
+        ("density", {**DENSITY, "mc": {"n": 2000}, "k": 1.7}, "k"),
+        ("bound", {**GENERAL13, "s": 8.9}, "s"),
+        ("stein", {**STEIN, "grid": {"points": "abc"}}, "grid.points"),
+        ("stein", {**STEIN, "grid": {"points": 12.5}}, "grid.points"),
+        ("stein", {**STEIN, "grid": {"lo": "x"}}, "grid.lo"),
+        ("stein", {**STEIN, "grid": {"two_sided": "no"}}, "grid.two_sided"),
+        ("stein", {**STEIN, "grid": [0.5, "x"]}, "grid[1]"),
+        ("stein", {**STEIN, "grid": "abc"}, "grid"),
+    ],
+)
+def test_non_integral_or_mistyped_numbers_are_validation_errors(
+    tmp_path, capsys, command, doc, key
+):
+    """Integer keys take only integral numbers (2e5 is fine, 1.7, true and
+    "abc" are not), grid points and bounds only numbers, two_sided only a
+    bool, and grid only an object or a list:
+    anything else stops the run with exit 1 naming the key, never a
+    truncated value or a refusal."""
+    cfg = write_config(tmp_path, doc)
+    code = main([command, "--config", cfg, "--out", str(tmp_path)])
+    err, _ = last_json_line(capsys)
+    assert code == 1
+    assert err["error"]["type"] == "validation"
+    assert err["error"]["message"].startswith(f"{key} must be")
+
+
+def test_integral_float_is_an_integer(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**DENSITY, "mc": {"n": 2e3, "seed": 5.0}})
+    assert main(["density", "--config", cfg, "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert (manifest["n"], manifest["seed"]) == (2000, 5)
+
+
 def test_nonfinite_number_in_a_spec_file_is_a_validation_error(tmp_path, capsys):
     spec = write_config(tmp_path, {"zeta": [0.5, NAN]}, name="spec.json")
     cfg = write_config(tmp_path, {"spec": spec})
