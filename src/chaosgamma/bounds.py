@@ -36,6 +36,7 @@ import numpy as np
 from .chaos import (
     DEFAULT_MAX_ORDER,
     ChaosVector,
+    _derivative_components,
     covariance,
     expectation,
     generator_inverse,
@@ -62,7 +63,7 @@ from .spectral import (  # second_chaos_eigenvalues is re-exported
     second_chaos_eigenvalues,
     shifted_moment,
 )
-from .stein import SteinEnvelope, envelope
+from .stein import SteinEnvelope, _check_branch, envelope
 from .tensors import SymTensor, contract_sym
 
 __all__ = [
@@ -381,42 +382,25 @@ def _multi_slice(f: SymTensor, X: tuple[int, ...]) -> SymTensor:
     return t
 
 
-def _derivative_component(
-    f: SymTensor, X: tuple[int, ...], budget: int
-) -> ChaosVector | None:
-    """Component of D^m F at the multi-index X, m = len(X):
-    (q!/(q-m)!) I_(q-m)(f(X, .)).  None when identically zero."""
-    q = f.order
-    m = len(X)
-    t = _multi_slice(f, X)
-    if not t.coeffs:
-        return None
-    coeff = _fact(q) / _fact(q - m)
-    if q - m == 0:
-        return ChaosVector(f.dim, constant=coeff * t[()])
-    return ChaosVector.from_kernel(t.scale(coeff), max_order=budget)
-
-
 def _contraction_defect_components(
     f: SymTensor, k: int, l: int, c_contr: float
 ) -> dict[tuple[MultiIndex, MultiIndex], ChaosVector]:
     """Components of c_contr * D^k F (x)_1 D^l F - D^(k+l-2) F, grouped by
     the (J, K) multi-index split."""
-    q, d = f.order, f.dim
-    supp = sorted(f.support())
-    budget = max(DEFAULT_MAX_ORDER, 2 * q)
+    F = ChaosVector.from_kernel(f, max_order=max(DEFAULT_MAX_ORDER, 2 * f.order))
+    D = _derivative_components(F, max(k, l, k + l - 2))
     out: dict[tuple[MultiIndex, MultiIndex], ChaosVector] = {}
-    for J in combinations_with_replacement(supp, k - 1):
-        for K in combinations_with_replacement(supp, l - 1):
+    for J in D[k - 1]:
+        for K in D[l - 1]:
             acc: ChaosVector | None = None
-            for a in supp:
-                va = _derivative_component(f, J + (a,), budget)
-                vb = _derivative_component(f, K + (a,), budget)
+            for a in range(f.dim):
+                va = D[k].get(merge(J, (a,)))
+                vb = D[l].get(merge(K, (a,)))
                 if va is None or vb is None:
                     continue
                 term = multiply(va, vb)
                 acc = term if acc is None else acc + term
-            sub = _derivative_component(f, merge(J, K), budget)
+            sub = D[k + l - 2].get(merge(J, K))
             comp: ChaosVector | None = None
             if acc is not None:
                 comp = acc.scale(c_contr)
@@ -699,15 +683,14 @@ class BoundReport:
 
 
 def _validate_xs(xs, alpha: float) -> list[float]:
+    """xs as floats, each a threshold the order-0 Stein equation accepts."""
     pts = [float(x) for x in xs]
     if not pts:
         raise ValueError("need at least one evaluation point")
-    if not all(math.isfinite(x) for x in pts):
-        raise ValueError(f"evaluation points must be finite, got {pts}")
+    for x in pts:
+        _check_branch(alpha, 0, x)
     if len(set(pts)) != len(pts):
         raise ValueError("evaluation points must be distinct")
-    if 0.0 in pts and alpha <= 1:
-        raise ValueError(f"the bound at x = 0 needs alpha > 1, got alpha = {alpha}")
     return pts
 
 

@@ -454,69 +454,39 @@ class JetValue:
 def eval_jet(F: ChaosVector, z: Sequence[float], k: int) -> JetValue:
     """F(z) together with all partial derivatives up to total order k <= 4.
 
-    Derivatives act on the Hermite factors through He_n' = n He_{n-1}; the
-    order-p tensor is dense of shape (d,)*p and symmetric.
+    On this finite Gaussian space d/dz_j of the Hermite realization is D_j,
+    so the order-p tensor is D^p F evaluated at z: one evaluation per sorted
+    multi-index, copied to each of its orderings (dense, shape (d,)*p).
     """
     if not 0 <= k <= 4:
         raise ValueError("jet order k must be in 0..4")
     z = np.asarray(z, dtype=float)
     if z.shape != (F.dim,):
         raise ValueError(f"point must have shape ({F.dim},)")
-    deg = needed_degree([F])
-    table = hermite_table(z[None, :], deg)[0]  # (d, deg+1)
-
-    value = F.constant
+    Z = z[None, :]
+    table = hermite_table(Z, needed_degree([F]))
+    levels = _derivative_components(F, k)
     derivs = {p: np.zeros((F.dim,) * p) for p in range(1, k + 1)}
-
-    for _, f in sorted(F.kernels.items()):
-        for key, val in f.coeffs.items():
-            a = Counter(key)
-            base = val * float(permutation_count(key))
-            hermites = {v: table[v, c] for v, c in a.items()}
-            value += base * float(np.prod(list(hermites.values())))
-            support = sorted(a)
-            for p in range(1, k + 1):
-                for beta in _derivative_patterns(support, a, p):
-                    factor = base
-                    for v, b in beta.items():
-                        av = a[v]
-                        ff = 1.0
-                        for t in range(b):
-                            ff *= av - t
-                        factor *= ff * table[v, av - b]
-                    for v in support:
-                        if v not in beta:
-                            factor *= hermites[v]
-                    if factor == 0.0:
-                        continue
-                    direction = []
-                    for v, b in sorted(beta.items()):
-                        direction.extend([v] * b)
-                    _scatter_symmetric(derivs[p], tuple(direction), factor)
-    return JetValue(float(value), derivs)
+    for p in range(1, k + 1):
+        for X, G in levels[p].items():
+            value = float(evaluate(G, Z, table)[0])
+            for perm in distinct_permutations(X):
+                derivs[p][perm] = value
+    return JetValue(float(evaluate(F, Z, table)[0]), derivs)
 
 
-def _derivative_patterns(support: list[int], a: Counter, p: int):
-    """All multisets beta of size p with support in `support`, beta_v <= a_v."""
-    out: list[dict[int, int]] = []
-
-    def rec(idx: int, left: int, cur: dict[int, int]) -> None:
-        if left == 0:
-            out.append(dict(cur))
-            return
-        if idx >= len(support):
-            return
-        v = support[idx]
-        for take in range(0, min(a[v], left) + 1):
-            if take:
-                cur[v] = take
-            rec(idx + 1, left - take, cur)
-            cur.pop(v, None)
-
-    rec(0, p, {})
-    return out
-
-
-def _scatter_symmetric(arr: np.ndarray, direction: MultiIndex, value: float) -> None:
-    for perm in distinct_permutations(direction):
-        arr[perm] += value
+def _derivative_components(F: ChaosVector, m: int) -> list[dict[MultiIndex, ChaosVector]]:
+    """D^p F for p = 0..m: entry p maps each sorted multi-index X of size p
+    to D_(x_1) ... D_(x_p) F, built by applying ``malliavin_derivative`` to
+    the entries of order p - 1.  Identically zero components are omitted,
+    and each entry is in lexicographic order of X."""
+    levels = [{(): F}]
+    for _ in range(m):
+        nxt: dict[MultiIndex, ChaosVector] = {}
+        for X, G in levels[-1].items():
+            DG = malliavin_derivative(G)
+            for j in range(X[-1] if X else 0, F.dim):
+                if DG[j].constant != 0.0 or DG[j].kernels:
+                    nxt[X + (j,)] = DG[j]
+        levels.append(nxt)
+    return levels

@@ -61,6 +61,7 @@ from .bounds import (
     lambda_const,
     lambda_norm_direct,
     lambda_norm_expansion,
+    lambda_norm_symmetrized_expansion,
     second_derivative_defect_direct,
     second_derivative_defect_expansion,
     tau_const,
@@ -194,6 +195,8 @@ def _parse_spec(node) -> tuple[ChaosVector, float | None]:
         raise ConfigError("spec must be an object or a file path")
     if "zeta" in node:
         _reject_unknown(node, {"zeta", "alpha"}, "spec")
+        if "alpha" in node:
+            _number(node["alpha"], "spec.alpha")
         try:
             zeta = tuple(node["zeta"])
             alpha = node["alpha"] if "alpha" in node else sum(2 * z * z for z in zeta)
@@ -208,7 +211,7 @@ def _parse_spec(node) -> tuple[ChaosVector, float | None]:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad chaos-vector spec: {exc}") from exc
         alpha = node.get("alpha")
-        return F, (float(alpha) if alpha is not None else None)
+        return F, (_number(alpha, "spec.alpha") if alpha is not None else None)
     raise ConfigError("spec must contain 'zeta' or 'chaos'")
 
 
@@ -220,18 +223,26 @@ def _resolve(args, doc: dict):
             return flag_val
         return doc.get(key, default)
 
+    def number(flag_val, key):
+        value = pick(flag_val, key)
+        return None if value is None else _number(value, key)
+
     mc = doc.get("mc", {})
     out = args.out or doc.get("out") or os.environ.get("CHAOSGAMMA_OUT") or "."
-    xs = args.xs if args.xs is not None else doc.get("xs")
-    if xs is not None:
+    xs = doc.get("xs")
+    if args.xs is not None:
         try:
-            xs = [float(v) for v in xs]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad xs: {exc}") from exc
+            xs = [float(v) for v in args.xs]
+        except ValueError as exc:
+            raise ConfigError(f"bad --xs: {exc}") from exc
+    elif xs is not None:
+        if not isinstance(xs, list):
+            raise ConfigError(f"xs must be a list of numbers, got {xs!r}")
+        xs = [_number(v, f"xs[{i}]") for i, v in enumerate(xs)]
     ns = argparse.Namespace(
         command=args.command,
         spec_node=doc.get("spec"),
-        alpha=pick(args.alpha, "alpha"),
+        alpha=number(args.alpha, "alpha"),
         xs=xs,
         n=_integer(pick(args.n, None, mc.get("n", 200_000)), "mc.n"),
         seed=_integer(pick(args.seed, None, mc.get("seed", 0)), "mc.seed"),
@@ -239,7 +250,7 @@ def _resolve(args, doc: dict):
         route=pick(getattr(args, "route", None), "route"),
         s=_integer(pick(getattr(args, "s", None), "s", 8), "s"),
         method=pick(getattr(args, "method", None), "method", "exact"),
-        x=pick(getattr(args, "x", None), "x"),
+        x=number(getattr(args, "x", None), "x"),
         grid=doc.get("grid"),
         out=out,
         workers=args.workers,
@@ -262,7 +273,7 @@ def _need_spec(ns) -> tuple[ChaosVector, float]:
     alpha = ns.alpha if ns.alpha is not None else emb
     if alpha is None:
         alpha = second_moment(F)
-    return F, float(alpha)
+    return F, alpha
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -320,15 +331,20 @@ def _run_bound(ns, F: ChaosVector, alpha: float):
     raise ConfigError(f"route must be 'chaos-moment' or 'malliavin-general', got {route!r}")
 
 
-def cmd_bound(ns, cfg_sha: str, outdir: Path) -> tuple[int, dict]:
-    F, alpha = _need_spec(ns)
-    rep = _run_bound(ns, F, alpha)
+def _write_bound_files(ns, cfg_sha: str, outdir: Path, rep, alpha: float) -> None:
+    """bound_report.json, bound_summary.csv and the manifest of ``rep``."""
     _write_json(outdir / "bound_report.json", rep.to_json_dict())
     (outdir / "bound_summary.csv").write_text(rep.csv_text(), encoding="utf-8")
     _write_json(
         outdir / "manifest.json",
         _manifest(ns, cfg_sha, {"alpha": alpha, "route": rep.kind, "xs": rep.xs(), "s": rep.s}),
     )
+
+
+def cmd_bound(ns, cfg_sha: str, outdir: Path) -> tuple[int, dict]:
+    F, alpha = _need_spec(ns)
+    rep = _run_bound(ns, F, alpha)
+    _write_bound_files(ns, cfg_sha, outdir, rep, alpha)
     ok = rep.domination_ok()
     summary = {
         "bound": {f"{x:.12g}": rep.bound[x] for x in rep.xs()},
@@ -401,7 +417,7 @@ def _stein_grid(node) -> list[float]:
 def cmd_stein(ns, cfg_sha: str, outdir: Path) -> tuple[int, dict]:
     if ns.alpha is None or ns.x is None:
         raise ConfigError("stein needs 'alpha' and the evaluation point 'x'")
-    alpha, k, x = float(ns.alpha), ns.k, float(ns.x)
+    alpha, k, x = ns.alpha, ns.k, ns.x
     grid = _stein_grid(ns.grid)
     sol = solve(alpha, k, x, grid, method=ns.method)
     env = envelope(alpha, k, x)
@@ -552,13 +568,16 @@ def _verify_checks() -> list[tuple[str, bool, str]]:
     )
     checks.append(("D Theta = q Lambda(2,1)", ok4, ""))
 
-    ok = True
+    # C(q,k,l) certifies the symmetrized norm; the full norm is only observed below it
+    certified = empirical = True
     for (kk, ll) in ((2, 2), (3, 1), (3, 2)):
         f = kern(4, 2, 0.5)
         al = math.factorial(4) * f.norm_sq()
-        C = defect_domination_constant(4, kk, ll)
-        ok = ok and lambda_norm_direct(f, kk, ll) <= C * theta_variance_direct(f, al) * (1 + 1e-9)
-    checks.append(("tensor defect dominated by C(q,k,l) E[Theta^2]", ok, ""))
+        bound = defect_domination_constant(4, kk, ll) * theta_variance_direct(f, al) * (1 + 1e-9)
+        certified = certified and lambda_norm_symmetrized_expansion(f, kk, ll) <= bound
+        empirical = empirical and lambda_norm_direct(f, kk, ll) <= bound
+    checks.append(("symmetrized tensor defect dominated by C(q,k,l) E[Theta^2]", certified, ""))
+    checks.append(("full tensor defect dominated by C(q,k,l) E[Theta^2] (empirical)", empirical, ""))
 
     checks.append(("C1 matches the enumerated ratio maximum", all(
         c1_constant(q) == 2.0 * (q - 1) for q in (2, 4, 6, 8)
@@ -590,8 +609,7 @@ def cmd_report(ns, cfg_sha: str, outdir: Path) -> tuple[int, dict]:
     F, alpha = _need_spec(ns)
     moments = even_chaos_moments(F, alpha) if (F.is_pure_chaos() and F.top_order % 2 == 0) else None
     rep = _run_bound(ns, F, alpha)
-    _write_json(outdir / "bound_report.json", rep.to_json_dict())
-    (outdir / "bound_summary.csv").write_text(rep.csv_text(), encoding="utf-8")
+    _write_bound_files(ns, cfg_sha, outdir, rep, alpha)
     if moments is not None:
         _write_json(outdir / "moments.json", moments)
     index = {
@@ -608,10 +626,6 @@ def cmd_report(ns, cfg_sha: str, outdir: Path) -> tuple[int, dict]:
         "domination_ok": {f"{x:.12g}": v for x, v in rep.domination_ok().items()},
     }
     _write_json(outdir / "report.json", index)
-    _write_json(
-        outdir / "manifest.json",
-        _manifest(ns, cfg_sha, {"alpha": alpha, "route": rep.kind, "xs": rep.xs(), "s": rep.s}),
-    )
     ok = all(rep.domination_ok().values())
     return (EXIT_OK if ok else EXIT_NUMERICAL), index
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln
 
 from .chaos import ChaosVector, expectation, second_moment, wbar
-from .gamma import gamma_pdf_deriv, nu_coefficients, nu_weight, signed_products
+from .gamma import gamma_pdf_deriv, nu_coefficients, signed_products
 from .mc import McEstimate, run_pass
 from .spectral import require_finite, second_chaos_eigenvalues
 
@@ -65,30 +65,20 @@ def _check_branch(alpha: float, k: int, x: float) -> str:
     return br
 
 
-def _nu_neg_axis_coeffs(alpha: float, k: int) -> list[float]:
-    """Coefficients w_i with nu_{k+1}(-s) = sum_i w_i s^{-i} for s > 0."""
-    return [c * (-1.0) ** i for i, c in enumerate(nu_coefficients(alpha, k + 1))]
-
-
 def stein_rhs(alpha: float, k: int, x: float, y: "float | np.ndarray") -> "float | np.ndarray":
-    """h(y) - E[h(G)] for the branch selected by the sign of x."""
-    br = _check_branch(alpha, k, x)
+    """h(y) - E[h(G)] for the branch selected by the sign of x: the solve's
+    ``_scalar_rhs`` applied to each element of y."""
+    _check_branch(alpha, k, x)
+    rhs = _scalar_rhs(alpha, k, x, float(gamma_pdf_deriv(alpha, k, x)))
     y = np.asarray(y, dtype=float)
-    nu = nu_weight(alpha, k + 1, y)
-    if br == "positive":
-        eh = float(gamma_pdf_deriv(alpha, k, x))
-        out = np.where(y > x, nu, 0.0) - eh
-    elif br == "negative":
-        out = np.where(y <= x, nu, 0.0)
-    else:
-        out = np.where(y < 0, nu, 0.0)
+    out = np.array([rhs(v) for v in y.ravel().tolist()]).reshape(y.shape)
     return float(out) if out.ndim == 0 else out
 
 
-def _scalar_rhs(alpha: float, k: int, x: float, br: str, eh: float):
-    """``stein_rhs`` on one float, with the nu_{k+1} coefficients and
-    eh = E[h(G)] bound once per solve: both routes call it per grid point
-    and the quadrature integrands per node."""
+def _scalar_rhs(alpha: float, k: int, x: float, eh: float):
+    """h(y) - eh on one float, eh standing for E[h(G)], with the nu_{k+1}
+    coefficients bound once: both solve routes call it per grid point and
+    the quadrature integrands per node.  This is the one definition of h."""
     terms = tuple(enumerate(nu_coefficients(alpha, k + 1)))
 
     def nu(y):
@@ -97,11 +87,11 @@ def _scalar_rhs(alpha: float, k: int, x: float, br: str, eh: float):
             acc += c * y ** -i
         return acc
 
-    if br == "positive":
+    if x > 0:
         return lambda y: (nu(y) if y > x else 0.0) - eh
-    if br == "negative":
-        return lambda y: nu(y) if y <= x else 0.0
-    return lambda y: nu(y) if y < 0 else 0.0
+    if x < 0:
+        return lambda y: (nu(y) if y <= x else 0.0) - eh
+    return lambda y: (nu(y) if y < 0 else 0.0) - eh
 
 
 # -- exponentially weighted power integrals -----------------------------------------
@@ -245,22 +235,14 @@ def _solve_exact_point(
         t = -y
         if br == "positive":
             W = -eh * exp_weighted_power_integral(alpha, 0.0, t)
-        elif br == "origin":
-            w = _nu_neg_axis_coeffs(alpha, k)
+        elif t <= -x:
+            W = 0.0
+        else:
+            # nu_{k+1}(-s) = sum_i (-1)^i c_i s^-i, integrated from -x (0 at the origin)
             W = math.fsum(
-                w[i] * exp_weighted_power_integral(alpha - i, 0.0, t)
-                for i in range(k + 2)
+                (-1.0) ** i * c * exp_weighted_power_integral(alpha - i, -x, t)
+                for i, c in enumerate(nu_coefficients(alpha, k + 1))
             )
-        else:  # x < 0
-            ax = -x
-            if t <= ax:
-                W = 0.0
-            else:
-                w = _nu_neg_axis_coeffs(alpha, k)
-                W = math.fsum(
-                    w[i] * exp_weighted_power_integral(alpha - i, ax, t)
-                    for i in range(k + 2)
-                )
         f = t ** (-alpha) * W
         fp = (t ** (-alpha) + alpha * t ** (-alpha - 1.0)) * W - g_y / t
         return f, fp
@@ -385,8 +367,8 @@ def solve(
         raise ValueError("grid must exclude 0")
     if any(g[i] >= g[i + 1] for i in range(len(g) - 1)):
         raise ValueError("grid must be strictly increasing")
-    eh = float(gamma_pdf_deriv(alpha, k, x)) if br == "positive" else 0.0
-    rhs = _scalar_rhs(alpha, k, x, br, eh)
+    eh = float(gamma_pdf_deriv(alpha, k, x))
+    rhs = _scalar_rhs(alpha, k, x, eh)
     f = np.empty(len(g))
     fp = np.empty(len(g))
     for i, y in enumerate(g):
@@ -603,7 +585,7 @@ def stein_discrepancy(
     spectrum: the squared envelope contains |F+alpha|^(-2p) terms, and
     ``spectral.require_finite`` must certify the worst of them.
     """
-    br = _check_branch(alpha, k, x)
+    _check_branch(alpha, k, x)
     if abs(expectation(F)) > 1e-9:
         raise ValueError("F must be centered")
     if abs(second_moment(F) - alpha) > 1e-6 * max(1.0, alpha):
@@ -613,15 +595,14 @@ def stein_discrepancy(
     worst = -2.0 * min(p for p, _ in env.terms)
     if zeta is not None:
         require_finite(zeta, alpha, 0.0, worst, f"the envelope moment E[(F+alpha)^-{worst:g}]")
-    eh = float(gamma_pdf_deriv(alpha, k, x)) if br == "positive" else 0.0
+    eh = float(gamma_pdf_deriv(alpha, k, x))
 
     mismatch = (F + alpha) - wbar(F)
     l2 = math.sqrt(max(second_moment(mismatch), 0.0))
+    rhs = _scalar_rhs(alpha, k, x, 0.0)
 
     def h(vals):
-        y = vals["F"] + alpha
-        ind = (y > x) if br == "positive" else (y <= x)
-        return np.where(ind, nu_weight(alpha, k + 1, y), 0.0), 0
+        return np.array([rhs(y) for y in (vals["F"] + alpha).tolist()]), 0
 
     def env_sq(vals):
         return env.bound(vals["F"] + alpha) ** 2, 0

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import roots_hermitenorm
 
 from chaosgamma.bounds import (
@@ -49,6 +51,16 @@ from chaosgamma.stein import envelope
 from chaosgamma.tensors import SymTensor, symmetrize
 
 EXACT = 1e-10
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from((2, 4)), st.integers(1, 3), st.data())
+def test_dtheta_identity_property(q, d, data):
+    """D Theta = q Lambda(2, 1) on random even-order kernels with d <= 3."""
+    coeff = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    f = SymTensor(q, d, {m: data.draw(coeff) for m in combinations_with_replacement(range(d), q)})
+    assume(f.norm_sq() > 1e-12)
+    assert dtheta_identity_check(f)
 
 
 def admissible_kl(q):

@@ -190,6 +190,20 @@ def test_moment_matches_repeated_products(F, p):
     assert moment(Fb, p) == pytest.approx(repeated_product_moment(F, p), rel=1e-10, abs=1e-10 * scale)
 
 
+@settings(deadline=None)
+@given(st.data())
+def test_product_formula_holds_pointwise(data):
+    """evaluate(multiply(F, G), Z) = evaluate(F, Z) * evaluate(G, Z) at
+    random points, F and G with constants and kernels of orders 1 to 3."""
+    F = data.draw(small_chaos_vectors())
+    G = data.draw(small_chaos_vectors(dim=F.dim))
+    point = st.lists(st.floats(-3.0, 3.0), min_size=F.dim, max_size=F.dim)
+    Z = np.array(data.draw(st.lists(point, min_size=1, max_size=4)))
+    lhs = evaluate(multiply(F, G), Z)
+    rhs = evaluate(F, Z) * evaluate(G, Z)
+    assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-9)
+
+
 # -- derivative, divergence, generator ----------------------------------------------
 
 

@@ -311,6 +311,41 @@ def test_non_integral_or_mistyped_numbers_are_validation_errors(
     assert err["error"]["message"].startswith(f"{key} must be")
 
 
+CHAOS2 = {"dim": 2, "kernels": {"2": {"order": 2, "dim": 2, "entries": [[[0, 0], 0.5]]}}}
+
+
+@pytest.mark.parametrize(
+    "command, doc, key",
+    [
+        ("stein", {"alpha": "abc", "x": 1.0}, "alpha"),
+        ("stein", {"alpha": 2.0, "x": "1"}, "x"),
+        ("moments", {**TIGHT, "alpha": "abc"}, "alpha"),
+        ("moments", {"spec": {"zeta": [0.5] * 12, "alpha": "6"}}, "spec.alpha"),
+        ("moments", {"spec": {"chaos": CHAOS2, "alpha": "abc"}}, "spec.alpha"),
+        ("bound", {**TIGHT, "xs": [True, "6"]}, "xs[0]"),
+        ("bound", {**TIGHT, "xs": [3.0, "6"]}, "xs[1]"),
+        ("bound", {**TIGHT, "xs": "3,6"}, "xs"),
+    ],
+)
+def test_config_numbers_are_numbers(tmp_path, capsys, command, doc, key):
+    """alpha, x, a spec's alpha and each xs entry take only numbers: a
+    string or a bool stops the run with exit 1 naming the key, never a
+    refusal and never a silently converted value."""
+    cfg = write_config(tmp_path, doc)
+    code = main([command, "--config", cfg, "--out", str(tmp_path)])
+    err, _ = last_json_line(capsys)
+    assert code == 1
+    assert err["error"]["type"] == "validation"
+    assert err["error"]["message"].startswith(f"{key} must be")
+
+
+def test_xs_flag_is_parsed_from_text(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**TIGHT, "mc": {"n": 2000}})
+    assert main(["bound", "--config", cfg, "--out", str(tmp_path), "--xs", "3,6"]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["params"]["xs"] == [3.0, 6.0]
+
+
 def test_integral_float_is_an_integer(tmp_path, capsys):
     cfg = write_config(tmp_path, {**DENSITY, "mc": {"n": 2e3, "seed": 5.0}})
     assert main(["density", "--config", cfg, "--out", str(tmp_path)]) == 0

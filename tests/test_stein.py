@@ -13,11 +13,10 @@ from chaosgamma.chaos import ChaosVector
 from chaosgamma.gamma import gamma_pdf_deriv, nu_weight
 from chaosgamma.mc import SecondChaosSpec
 from chaosgamma.tensors import symmetrize
+import chaosgamma.gamma as gamma_module
 import chaosgamma.stein as stein_module
 from chaosgamma.stein import (
     SteinEnvelope,
-    _check_branch,
-    _scalar_rhs,
     envelope,
     exp_weighted_power_integral,
     solve,
@@ -142,35 +141,41 @@ def test_rhs_closed_form():
     "alpha,k,x", [(4.0, 1, 2.0), (6.21, 2, 6.0), (4.0, 1, -2.0), (0.7, 0, -0.4), (4.0, 1, 0.0), (6.0, 2, 0.0)]
 )
 def test_scalar_rhs_matches_stein_rhs(alpha, k, x):
-    """The per-solve closure is stein_rhs on one float on every branch, at the
-    edges too: y = x (strict > for x > 0, inclusive <= for x < 0), y = 0 and
-    y < 0."""
-    br = _check_branch(alpha, k, x)
-    eh = float(gamma_pdf_deriv(alpha, k, x)) if br == "positive" else 0.0
-    rhs = _scalar_rhs(alpha, k, x, br, eh)
+    """stein_rhs, which applies the per-solve closure elementwise, is
+    1_A(y) nu_{k+1}(y) - E h(G) on every branch, at the edges too: y = x
+    (A = {y > x} for x > 0, {y <= x} for x < 0, {y < 0} for x = 0), y = 0
+    and y < 0."""
+    eh = float(gamma_pdf_deriv(alpha, k, x))
+    inside = {1: lambda y: y > x, -1: lambda y: y <= x, 0: lambda y: y < 0}[int(np.sign(x))]
     ys = [x, 0.0, -1e-3, -0.4, -0.5, -7.0, 1e-3, 0.9, 2.5, 45.0]
     if x != 0.0:
         ys += [math.nextafter(x, math.inf), math.nextafter(x, -math.inf)]
     for y in ys:
-        want = stein_rhs(alpha, k, x, y)
-        assert abs(rhs(y) - want) <= 1e-15 * max(1.0, abs(want)), y
-    assert rhs(x) == stein_rhs(alpha, k, x, x)
+        want = (float(nu_weight(alpha, k + 1, y)) if inside(y) else 0.0) - eh
+        assert abs(stein_rhs(alpha, k, x, y) - want) <= 1e-15 * max(1.0, abs(want)), y
+    got = stein_rhs(alpha, k, x, np.array(ys))
+    assert got.shape == (len(ys),)
+    assert list(got) == [stein_rhs(alpha, k, x, y) for y in ys]
 
 
 def test_quad_solve_evaluates_the_right_hand_side_in_plain_floats(monkeypatch):
-    """One solve computes E h(G) once and never goes through the numpy forms
-    of the weight or the right-hand side inside the quadrature."""
+    """One solve computes E h(G) once and never goes through the numpy
+    weight or stein_rhs inside the quadrature."""
     calls = Counter()
 
-    def counted(name, fn):
+    def counted(name, module):
+        fn = getattr(module, name)
+
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
 
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("gamma_pdf_deriv", "nu_weight", "stein_rhs"):
-        monkeypatch.setattr(stein_module, name, counted(name, getattr(stein_module, name)))
+    counted("gamma_pdf_deriv", stein_module)
+    counted("stein_rhs", stein_module)
+    counted("nu_weight", gamma_module)
+    assert not hasattr(stein_module, "nu_weight")
     grid = two_sided_grid(1e-2, 20.0, 10)
     sol = solve(4.0, 1, 2.0, grid, method="quad")
     assert len(sol.grid) == 20
