@@ -27,11 +27,9 @@ moments), and each such estimate is returned with its seed and stderr.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Callable, Mapping
-
-import numpy as np
 
 from .chaos import (
     DEFAULT_MAX_ORDER,
@@ -49,21 +47,10 @@ from .chaos import (
     wbar,
 )
 from .gamma import gamma_pdf
-from .mc import (
-    McEstimate,
-    density_columns,
-    estimator_vectors,
-    power_column,
-    run_pass,
-)
+from .mc import McEstimate, _checked_pass
 from .multiindex import MultiIndex, merge, permutation_count, sub_multisets
-from .spectral import (  # second_chaos_eigenvalues is re-exported
-    negative_moment_exists,
-    require_finite,
-    second_chaos_eigenvalues,
-    shifted_moment,
-)
-from .stein import SteinEnvelope, _check_branch, envelope
+from .spectral import second_chaos_eigenvalues, shifted_moment  # the first is re-exported
+from .stein import _ALPHA_TOL, SteinEnvelope, _check_alpha, _check_branch, envelope
 from .tensors import SymTensor, contract_sym
 
 __all__ = [
@@ -92,9 +79,6 @@ __all__ = [
     "theta_variance_expansion",
     "wbar",
 ]
-
-_ALPHA_TOL = 1e-9
-
 
 def _fact(n: int) -> float:
     return float(math.factorial(n))
@@ -239,18 +223,6 @@ def _pure_even_order(F: ChaosVector) -> int:
             " controlled for even orders, where F + alpha can stay nonnegative"
         )
     return q
-
-
-def _check_alpha(F: ChaosVector, alpha: float) -> None:
-    """alpha > 0 finite, F centered, and E[F^2] = alpha."""
-    if not 0 < alpha < math.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
-    mean = expectation(F)
-    if abs(mean) > 1e-12 * max(1.0, alpha):
-        raise ValueError(f"F must be centered; E[F] = {mean!r}")
-    m2 = second_moment(F)
-    if abs(m2 - alpha) > _ALPHA_TOL * max(1.0, alpha):
-        raise ValueError(f"E[F^2] = {m2!r} does not match alpha = {alpha!r}")
 
 
 def theta(F: ChaosVector, alpha: float) -> ChaosVector:
@@ -694,35 +666,6 @@ def _validate_xs(xs, alpha: float) -> list[float]:
     return pts
 
 
-def _negative_powers(factors: tuple) -> tuple[float, float]:
-    """(a, b) of the column E[w^-a (F+alpha)^-b] with these ``power_column``
-    factors, w being ||DF||^2 or wbar."""
-    a = sum(-p for name, _, p in factors if name != "F" and p < 0)
-    b = sum(-p for name, _, p in factors if name == "F" and p < 0)
-    return a, b
-
-
-def _variance_flag(zeta: np.ndarray | None, alpha: float, factors: tuple) -> str | None:
-    """None when the Monte Carlo column with these ``power_column`` factors
-    has a variance, that is E[w^-2a (F+alpha)^-2b] < inf by
-    ``negative_moment_exists``; "infinite_variance" when the rule refutes it,
-    "variance_unverified" when there is no spectrum."""
-    a, b = _negative_powers(factors)
-    if a == b == 0:
-        return None
-    if zeta is None:
-        return "variance_unverified"
-    return None if negative_moment_exists(zeta, alpha, 2 * a, 2 * b) else "infinite_variance"
-
-
-def _refuse_spectrum(zeta: np.ndarray, alpha: float, columns: Mapping[str, tuple]) -> None:
-    """Refuses a second-chaos spectrum on which the mean of a Monte Carlo
-    column E[w^-a (F+alpha)^-b] is infinite, by ``spectral.require_finite``."""
-    for label, factors in columns.items():
-        a, b = _negative_powers(factors)
-        require_finite(zeta, alpha, a, b, f"the mean of the Monte Carlo column {label}")
-
-
 def _assemble_bound(
     kind: str,
     F: ChaosVector,
@@ -742,50 +685,41 @@ def _assemble_bound(
     Monte Carlo columns (label -> ``mc.power_column`` factors), the
     ChaosVectors they read beyond ``mc.estimator_vectors(F, 0)``, and
     ``weight_terms(means)``, the gradient-weight terms of the prefactor from
-    the columns' clamped means, or None when the defect vanishes exactly and
-    the bound is zero.  The bound at x is
+    the columns' clamped means.  The bound at x is
 
         (sum of envelope terms coeff * E[(F+alpha)^(2 power)]^(1/2)
          + gradient-weight terms) * defect factor.
 
-    The plan collects the exponents the envelopes need, in order of first
-    use; a nonnegative one takes its exact route from
+    A defect factor of exactly 0 means F + alpha is Gamma(alpha) (the
+    fourth-moment characterisation of Nourdin & Peccati 2009): the bound is
+    0 with no prefactor, and the pass holds only the density columns.
+    Otherwise the plan collects the exponents the envelopes need, in order
+    of first use; a nonnegative one takes its exact route from
     ``shifted_positive_moment`` when there is one, every other one is a
-    column.  ``_refuse_spectrum`` checks all columns on a second-chaos F;
-    otherwise existence is flagged as unverified.  Every Monte Carlo number
-    of the report (these columns and the density at each x) comes from one
-    ``mc.run_pass`` at seed + 3.  Columns and report carry the flags of
-    ``_variance_flag``.
+    column.  Every Monte Carlo number of the report (these columns and the
+    density at each x) comes from one ``mc._checked_pass`` at seed + 3,
+    which checks each column first: it refuses an infinite mean, and an
+    infinite or unverified variance flags the column and the report.
     """
     _check_alpha(F, alpha)
     pts = _validate_xs(xs, alpha)
-    zeta = second_chaos_eigenvalues(F)
-    if zeta is None:
+    if second_chaos_eigenvalues(F) is None:
         flags.append("negative_moment_existence_unverified")
     factor, fields, vectors, columns, weight_terms = route_terms(flags)
 
     envs = {x: envelope(alpha, 0, x) for x in pts}
     label = "E[(F+a)^{:g}]".format
-    plan = {} if weight_terms is None else {
+    zero_defect = factor == 0.0
+    if zero_defect:
+        flags.append("zero_defect_shortcut")
+        vectors, columns = {}, {}
+    plan = {} if zero_defect else {
         label(2.0 * p): 2.0 * p for x in pts for p, c in envs[x].terms if c != 0.0 and p != 0.0
     }
     exact = {k: shifted_positive_moment(F, alpha, ex) for k, ex in plan.items() if ex >= 0}
     columns.update((k, (("F", alpha, ex),)) for k, ex in plan.items() if exact.get(k) is None)
-    if zeta is not None:
-        _refuse_spectrum(zeta, alpha, columns)
-    if weight_terms is None:
-        columns = {}
-    mc_columns = {k: power_column(*fac) for k, fac in columns.items()}
-    ests = run_pass(
-        {**estimator_vectors(F, 0), **vectors},
-        {**mc_columns, **density_columns(alpha, 0, pts)},
-        n, seed + 3, workers,
-    )
-    for k, fac in columns.items():
-        var_flag = _variance_flag(zeta, alpha, fac)
-        if var_flag is not None:
-            ests[k] = replace(ests[k], flags=ests[k].flags + (var_flag,))
-            flags.append(var_flag)
+    ests, var_flags = _checked_pass(F, alpha, 0, pts, columns, vectors, n, seed + 3, workers)
+    flags.extend(var_flags.values())
 
     pos: dict[str, dict] = {}
     for k, ex in plan.items():
@@ -801,19 +735,16 @@ def _assemble_bound(
     means = {k: max(est.value, 0.0) for k, est in ests.items()}
     means.update((k, rec["value"]) for k, rec in pos.items())
 
-    prefactor: dict[float, float] = {}
-    if weight_terms is None:
-        flags.append("zero_defect_shortcut")
-        bound = {x: 0.0 for x in pts}
-    else:
-        # the L^2 assembly of the envelope: coeff * |y|^power gives
-        # coeff * E[(F+alpha)^(2 power)]^(1/2)
-        for x in pts:
-            prefactor[x] = sum(
-                c * math.sqrt(means[label(2.0 * p)]) if p != 0.0 else c
-                for p, c in envs[x].terms if c != 0.0
-            ) + weight_terms(means)
-        bound = {x: p0 * factor for x, p0 in prefactor.items()}
+    # the L^2 assembly of the envelope: coeff * |y|^power gives
+    # coeff * E[(F+alpha)^(2 power)]^(1/2)
+    prefactor = {} if zero_defect else {
+        x: sum(
+            c * math.sqrt(means[label(2.0 * p)]) if p != 0.0 else c
+            for p, c in envs[x].terms if c != 0.0
+        ) + weight_terms(means)
+        for x in pts
+    }
+    bound = {x: prefactor.get(x, 0.0) * factor for x in pts}
 
     density = {x: ests[f"density[{j}]"] for j, x in enumerate(pts)}
     for x in pts:
@@ -858,12 +789,15 @@ def assemble_density_bound(
     C1(q) E[||DF||^-6]^(1/2).  Negative moments are estimated by Monte
     Carlo; positive moments go through exact routes whenever one exists.
 
-    Second-chaos inputs are refused when the spectrum cannot support a
-    Monte Carlo column E[||DF||^-2a (F+alpha)^-b]: a negative eigenvalue or
-    shift gap alpha - sum zeta_i, or m positive eigenvalues too few for
-    ``spectral.negative_moment_exists`` (the gradient-weight columns alone
-    need m >= 7 at a positive gap and m >= 9 at gap 0).  For higher orders
-    the existence is flagged as unverified instead.
+    A zero fourth-moment combo gives the bound 0 with no gradient-weight
+    column.  Otherwise second-chaos inputs are refused when the spectrum
+    cannot support a Monte Carlo column E[||DF||^-2a (F+alpha)^-b]: a
+    negative eigenvalue or shift gap alpha - sum zeta_i, or m positive
+    eigenvalues too few for ``spectral.negative_moment_exists`` (the
+    gradient-weight columns alone need m >= 7 at a positive gap and m >= 9
+    at gap 0).  For higher orders the existence is flagged as unverified
+    instead.  On either path a density point x <= alpha - sum zeta_i needs
+    E[||DF||^-2] < inf (m >= 3).
     """
     q = _pure_even_order(F)
 
@@ -893,7 +827,7 @@ def assemble_density_bound(
                 + c1 * math.sqrt(m["E[w^-3]"])
             )
 
-        return radical, fields, {}, columns, weight_terms if radical else None
+        return radical, fields, {}, columns, weight_terms
 
     return _assemble_bound(
         "chaos-moment", F, alpha, xs, n, seed, workers, route_terms, []
@@ -925,11 +859,13 @@ def assemble_general_bound(
     The s = 4 case is assembled with the same unit constant but flagged:
     that endpoint's constant is not certified.
 
-    Pure second-chaos inputs are refused when the spectrum cannot support a
-    Monte Carlo column E[wbar^-a (F+alpha)^-b]: a negative eigenvalue or
-    shift gap, or m positive eigenvalues too few for
+    A zero defect moment gives the bound 0 with no gradient-weight column.
+    Otherwise pure second-chaos inputs are refused when the spectrum cannot
+    support a Monte Carlo column E[wbar^-a (F+alpha)^-b]: a negative
+    eigenvalue or shift gap, or m positive eigenvalues too few for
     ``spectral.negative_moment_exists`` (E[wbar^-6] alone needs m >= 13).
-    Otherwise existence is flagged as unverified.
+    Otherwise existence is flagged as unverified.  A density point at or
+    below the shift gap is checked as in ``assemble_density_bound``.
     """
     if s not in (4, 8, 12):
         raise ValueError(f"s must be one of 4, 8, 12; got {s}")

@@ -116,6 +116,13 @@ class ConfigError(ValueError):
     """Malformed config or spec: exit code 1."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad flag exits 1 like a bad config key; exit 2 means a numerical failure."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
     unknown = sorted(set(doc) - allowed)
     if unknown:
@@ -178,6 +185,10 @@ def _load_config(path: str | None) -> tuple[dict, str]:
         _reject_unknown(doc["mc"], _MC_KEYS, "mc")
     if isinstance(doc.get("grid"), dict):
         _reject_unknown(doc["grid"], _GRID_KEYS, "grid")
+    if "tolerances" in doc:
+        if not isinstance(doc["tolerances"], dict):
+            raise ConfigError("tolerances must be an object")
+        _reject_unknown(doc["tolerances"], {"residual"}, "tolerances")
     return doc, hashlib.sha256(raw).hexdigest()
 
 
@@ -239,6 +250,8 @@ def _resolve(args, doc: dict):
         if not isinstance(xs, list):
             raise ConfigError(f"xs must be a list of numbers, got {xs!r}")
         xs = [_number(v, f"xs[{i}]") for i, v in enumerate(xs)]
+    if xs == []:
+        raise ConfigError("xs must hold at least one evaluation point")
     ns = argparse.Namespace(
         command=args.command,
         spec_node=doc.get("spec"),
@@ -259,12 +272,12 @@ def _resolve(args, doc: dict):
     _reject_nonfinite({"alpha": ns.alpha, "xs": ns.xs, "x": ns.x}, "")
     if ns.n <= 0:
         raise ConfigError("mc.n must be positive")
+    if ns.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {ns.workers}")
     if "command" in doc and doc["command"] != args.command:
         raise ConfigError(
             f"config is for command {doc['command']!r}, invoked as {args.command!r}"
         )
-    if not isinstance(ns.tolerances, dict):
-        raise ConfigError("tolerances must be an object")
     return ns
 
 
@@ -398,6 +411,8 @@ def _stein_grid(node) -> list[float]:
     if node is None:
         node = {}
     if isinstance(node, list):
+        if not node:
+            raise ConfigError("grid must hold at least one point")
         return [_number(v, f"grid[{i}]") for i, v in enumerate(node)]
     if not isinstance(node, dict):
         raise ConfigError("grid must be an object or a list of points")
@@ -417,6 +432,8 @@ def _stein_grid(node) -> list[float]:
 def cmd_stein(ns, cfg_sha: str, outdir: Path) -> tuple[int, dict]:
     if ns.alpha is None or ns.x is None:
         raise ConfigError("stein needs 'alpha' and the evaluation point 'x'")
+    if ns.method not in ("exact", "quad"):
+        raise ConfigError(f"method must be 'exact' or 'quad', got {ns.method!r}")
     alpha, k, x = ns.alpha, ns.k, ns.x
     grid = _stein_grid(ns.grid)
     sol = solve(alpha, k, x, grid, method=ns.method)
@@ -426,7 +443,7 @@ def cmd_stein(ns, cfg_sha: str, outdir: Path) -> tuple[int, dict]:
 
     res = np.abs([row[3] for row in rows])
     ys = np.asarray(grid)
-    tol = float(ns.tolerances.get("residual", 1e-8))
+    tol = _number(ns.tolerances.get("residual", 1e-8), "tolerances.residual")
     away = np.abs(ys) >= 0.05
     max_res = float(np.max(res[away])) if np.any(away) else 0.0
     dominated = env.dominates(sol)
@@ -641,7 +658,7 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chaosgamma",
         description="Gamma-approximation toolkit for Gaussian chaos: moments,"
         " density bounds, Stein solutions, and identity verification.",
@@ -670,8 +687,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         doc, cfg_sha = _load_config(args.config)
         ns = _resolve(args, doc)
         outdir = Path(ns.out)

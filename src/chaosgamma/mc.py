@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Mapping, Sequence
 
@@ -29,6 +29,7 @@ from .chaos import (
 )
 from .polynomials import hermite_table
 from .spectral import SecondChaosSpec, density_cf_oracle  # re-exported
+from .spectral import check_column, second_chaos_eigenvalues
 
 __all__ = [
     "CHUNK_SIZE",
@@ -340,6 +341,51 @@ def density_columns(alpha: float, k: int, xs: Sequence[float]) -> dict[str, Colu
     return {f"density[{j}]": partial(column, x=float(x)) for j, x in enumerate(xs)}
 
 
+def _checked_pass(
+    F: ChaosVector,
+    alpha: float,
+    k: int,
+    xs: Sequence[float],
+    columns: Mapping[str, tuple],
+    vectors: Mapping[str, ChaosVector],
+    n: int,
+    seed: int,
+    workers: int,
+) -> tuple[dict[str, McEstimate], dict[str, str]]:
+    """(estimates, variance flag by label) of one ``run_pass`` of the
+    ``power_column`` columns (label -> factors) and ``density_columns(alpha,
+    k, xs)``, reading ``vectors`` and ``estimator_vectors(F, k)``.
+
+    ``spectral.check_column`` first checks a power column as
+    E[w^-a (F+alpha)^-b] (w or wbar), and on second chaos a density column
+    at x <= alpha - sum(zeta) as E[w^-(k+1)]: there F + alpha > x holds
+    where w nears 0 and G_{k+1} = O(w^-(k+1)); above the gap the event keeps
+    w >= 4 min(zeta) (x - gap) away from 0.
+    """
+    zeta = second_chaos_eigenvalues(F)
+    checks = {}
+    for c, fac in columns.items():
+        a = sum(-p for name, _, p in fac if name != "F" and p < 0)
+        b = sum(-p for name, _, p in fac if name == "F" and p < 0)
+        checks[c] = (c, a, b)
+    gap = -math.inf if zeta is None else alpha - float(np.sum(zeta))
+    for j, x in enumerate(xs):
+        if x <= gap:
+            what = f"density[{j}] at x = {x:g} <= alpha - sum(zeta), of order E[w^-{k + 1}],"
+            checks[f"density[{j}]"] = (what, k + 1.0, 0.0)
+    flags = {}
+    for c, (what, a, b) in checks.items():
+        flag = check_column(zeta, alpha, a, b, f"the mean of the Monte Carlo column {what}")
+        if flag is not None:
+            flags[c] = flag
+    cols = {c: power_column(*fac) for c, fac in columns.items()}
+    cols.update(density_columns(alpha, k, xs))
+    ests = run_pass({**estimator_vectors(F, k), **vectors}, cols, n, seed, workers)
+    for c, flag in flags.items():
+        ests[c] = replace(ests[c], flags=ests[c].flags + (flag,))
+    return ests, flags
+
+
 def density_malliavin(
     F: ChaosVector,
     alpha: float,
@@ -353,10 +399,9 @@ def density_malliavin(
 
     p^(k)(x) = (-1)^k E[1_{F+alpha>x} G_{k+1}] with the integration-by-parts
     weights evaluated exactly on each sample; samples with ||DF||^2 below
-    REJECT_EPS are rejected and counted.
+    REJECT_EPS are rejected and counted; ``_checked_pass`` checks each column.
     """
-    cols = density_columns(alpha, k, xs)
-    return list(run_pass(estimator_vectors(F, k), cols, n, seed, workers).values())
+    return list(_checked_pass(F, alpha, k, xs, {}, {}, n, seed, workers)[0].values())
 
 
 def density_kde(

@@ -21,17 +21,11 @@ __all__ = ["hermite_value", "hermite_table", "laguerre_value", "PolySpec"]
 
 
 def hermite_value(n: int, x: "float | np.ndarray") -> "float | np.ndarray":
-    """Monic probabilists' Hermite He_n(x) via the three-term recurrence."""
+    """Monic probabilists' Hermite He_n(x): the last column of ``hermite_table``."""
     if n < 0:
         raise ValueError("Hermite degree must be >= 0")
-    xa = np.asarray(x, dtype=float)
-    prev = np.ones_like(xa)
-    if n == 0:
-        return prev if xa.shape else float(prev)
-    cur = xa.copy()
-    for k in range(1, n):
-        prev, cur = cur, xa * cur - k * prev
-    return cur if xa.shape else float(cur)
+    out = hermite_table(x, n)[..., n]
+    return out if out.shape else float(out)
 
 
 def hermite_table(z: np.ndarray, nmax: int) -> np.ndarray:

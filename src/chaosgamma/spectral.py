@@ -10,8 +10,8 @@ and the shift gap alpha - sum(zeta) (Nourdin & Peccati 2009):
 
 * ``second_chaos_eigenvalues`` — the spectrum of F, or None for any other F;
 * ``negative_moment_exists`` — the one rule that decides which negative
-  moments E[w^-a (F+alpha)^-b] are finite, and ``require_finite``, the one
-  place that turns its "no" into a refusal;
+  moments E[w^-a (F+alpha)^-b] are finite; ``require_finite`` turns its
+  "no" into a refusal, and ``check_column`` checks a Monte Carlo column;
 * ``shifted_moment`` — E[(F+alpha)^p] for integer p from the cumulants;
 * ``characteristic_function`` and ``density_cf_oracle`` — the law of
   F + alpha and its density by Fourier inversion (Imhof 1961);
@@ -34,6 +34,7 @@ __all__ = [
     "second_chaos_eigenvalues",
     "negative_moment_exists",
     "require_finite",
+    "check_column",
     "shifted_moment",
     "characteristic_function",
     "density_cf_oracle",
@@ -71,51 +72,61 @@ def negative_moment_exists(zeta, alpha: float, a: float, b: float) -> bool:
     so it is finite iff m > 2a; at gap 0 both w and F + alpha are of order
     |Y|^2 on the m active coordinates, so it is finite iff m > 2(a + b).
     """
+    return _infinite_reason(zeta, alpha, a, b) is None
+
+
+def _infinite_reason(zeta, alpha: float, a: float, b: float) -> str | None:
+    """The case analysis of ``negative_moment_exists``: None when
+    E[w^-a (F+alpha)^-b] is finite, else the reason it is not."""
     zeta = np.asarray(zeta, dtype=float)
-    m = int(np.sum(np.abs(zeta) > SPECTRUM_TOL))
     gap = alpha - float(np.sum(zeta))
-    if b > 0 and (gap < -SPECTRUM_TOL or np.any(zeta < -SPECTRUM_TOL)):
-        return False
-    if b <= 0:
-        return a <= 0 or m > 2 * a
-    if a <= 0:
-        return gap > SPECTRUM_TOL or m > 2 * b
-    return m > 2 * a if gap > SPECTRUM_TOL else m > 2 * (a + b)
+    if b > 0 and np.any(zeta < -SPECTRUM_TOL):
+        return (
+            "the second-chaos spectrum has negative eigenvalues, so F + alpha"
+            " crosses zero with positive density"
+        )
+    if b > 0 and gap < -SPECTRUM_TOL:
+        return (
+            f"the shift gap alpha - sum(zeta) = {gap!r} is negative, so F + alpha"
+            " is not almost surely nonnegative"
+        )
+    if b <= 0 or gap > SPECTRUM_TOL:
+        if a <= 0:
+            return None
+        where, m_min = ("at a positive shift gap " if b > 0 else ""), 2 * a
+    else:
+        where, m_min = "at zero shift gap ", 2 * (max(a, 0.0) + b)
+    if int(np.sum(np.abs(zeta) > SPECTRUM_TOL)) > m_min:
+        return None
+    n_pos = int(np.sum(zeta > SPECTRUM_TOL))
+    n_neg = int(np.sum(zeta < -SPECTRUM_TOL))
+    return (
+        f"{where}it takes more than {m_min:g} nonzero eigenvalues; this"
+        f" spectrum has {n_pos} positive eigenvalues"
+        + (f" and {n_neg} negative" if n_neg else "")
+    )
 
 
 def require_finite(zeta, alpha: float, a: float, b: float, what: str) -> None:
     """Refuses (ValueError) a spectrum on which ``negative_moment_exists``
     says E[w^-a (F+alpha)^-b] is infinite; ``what`` names that quantity in
     the message, which gives the reason the rule found."""
-    if negative_moment_exists(zeta, alpha, a, b):
-        return
-    zeta = np.asarray(zeta, dtype=float)
-    gap = alpha - float(np.sum(zeta))
-    if b > 0 and np.any(zeta < -SPECTRUM_TOL):
-        reason = (
-            "the second-chaos spectrum has negative eigenvalues, so F + alpha"
-            " crosses zero with positive density"
-        )
-    elif b > 0 and gap < -SPECTRUM_TOL:
-        reason = (
-            f"the shift gap alpha - sum(zeta) = {gap!r} is negative, so F + alpha"
-            " is not almost surely nonnegative"
-        )
-    else:
-        if b <= 0:
-            where, m_min = "", 2 * a
-        elif gap > SPECTRUM_TOL:
-            where, m_min = "at a positive shift gap ", 2 * a
-        else:
-            where, m_min = "at zero shift gap ", 2 * (a + b)
-        n_pos = int(np.sum(zeta > SPECTRUM_TOL))
-        n_neg = int(np.sum(zeta < -SPECTRUM_TOL))
-        reason = (
-            f"{where}it takes more than {m_min:g} nonzero eigenvalues; this"
-            f" spectrum has {n_pos} positive eigenvalues"
-            + (f" and {n_neg} negative" if n_neg else "")
-        )
-    raise ValueError(f"{what} is not finite: {reason}")
+    reason = _infinite_reason(zeta, alpha, a, b)
+    if reason is not None:
+        raise ValueError(f"{what} is not finite: {reason}")
+
+
+def check_column(zeta, alpha: float, a: float, b: float, what: str) -> str | None:
+    """Checks a Monte Carlo column of order w^-a (F+alpha)^-b on the spectrum
+    zeta, or None for no spectrum: ``require_finite`` refuses an infinite
+    mean; returns "infinite_variance", "variance_unverified" when there is
+    no spectrum, or None when the variance exists or no power is negative."""
+    if a <= 0 and b <= 0:
+        return None
+    if zeta is None:
+        return "variance_unverified"
+    require_finite(zeta, alpha, a, b, what)
+    return None if negative_moment_exists(zeta, alpha, 2 * a, 2 * b) else "infinite_variance"
 
 
 def shifted_moment(zeta, alpha: float, p: int) -> float:

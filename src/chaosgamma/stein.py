@@ -44,6 +44,7 @@ _SERIES_EPS = 1e-17
 _LARGE_Y = 400.0
 # absolute tolerance of every adaptive quadrature in the "quad" solve
 _EPSABS = 1e-12
+_ALPHA_TOL = 1e-9  # relative, of E[F^2] = alpha
 
 
 def _branch(x: float) -> str:
@@ -63,6 +64,18 @@ def _check_branch(alpha: float, k: int, x: float) -> str:
             f"threshold x = 0 requires alpha > k + 1 (got alpha={alpha}, k={k})"
         )
     return br
+
+
+def _check_alpha(F: ChaosVector, alpha: float) -> None:
+    """alpha > 0 finite, F centered, and E[F^2] = alpha."""
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    mean = expectation(F)
+    if abs(mean) > 1e-12 * max(1.0, alpha):
+        raise ValueError(f"F must be centered; E[F] = {mean!r}")
+    m2 = second_moment(F)
+    if abs(m2 - alpha) > _ALPHA_TOL * max(1.0, alpha):
+        raise ValueError(f"E[F^2] = {m2!r} does not match alpha = {alpha!r}")
 
 
 def stein_rhs(alpha: float, k: int, x: float, y: "float | np.ndarray") -> "float | np.ndarray":
@@ -362,6 +375,8 @@ def solve(
     quadrature with the endpoint substitution s = u^(1/alpha) near 0.
     """
     br = _check_branch(alpha, k, x)
+    if method not in ("exact", "quad"):
+        raise ValueError(f"unknown method {method!r}")
     g = [float(v) for v in grid]
     if any(v == 0.0 for v in g):
         raise ValueError("grid must exclude 0")
@@ -374,10 +389,8 @@ def solve(
     for i, y in enumerate(g):
         if method == "exact":
             f[i], fp[i] = _solve_exact_point(alpha, k, x, br, eh, rhs, y)
-        elif method == "quad":
-            f[i], fp[i] = _solve_quad_point(alpha, k, x, br, rhs, y)
         else:
-            raise ValueError(f"unknown method {method!r}")
+            f[i], fp[i] = _solve_quad_point(alpha, k, x, br, rhs, y)
     return SteinSolution(alpha, k, float(x), tuple(g), f, fp, eh, method)
 
 
@@ -586,10 +599,7 @@ def stein_discrepancy(
     ``spectral.require_finite`` must certify the worst of them.
     """
     _check_branch(alpha, k, x)
-    if abs(expectation(F)) > 1e-9:
-        raise ValueError("F must be centered")
-    if abs(second_moment(F) - alpha) > 1e-6 * max(1.0, alpha):
-        raise ValueError("F must have second moment alpha")
+    _check_alpha(F, alpha)
     env = envelope(alpha, k, x)
     zeta = second_chaos_eigenvalues(F)
     worst = -2.0 * min(p for p, _ in env.terms)

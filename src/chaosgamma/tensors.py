@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 from math import comb
 from typing import Iterable, Mapping
 
@@ -217,7 +218,7 @@ def symmetrize(obj: "np.ndarray | SymTensor") -> SymTensor:
         raise ValueError("tensor axes must share one dimension")
     dim = arr.shape[0]
     out: dict[MultiIndex, float] = {}
-    for key in _sorted_keys(order, dim):
+    for key in combinations_with_replacement(range(dim), order):
         total = 0.0
         nperm = 0
         for p in distinct_permutations(key):
@@ -227,21 +228,6 @@ def symmetrize(obj: "np.ndarray | SymTensor") -> SymTensor:
         if val != 0.0:
             out[key] = val
     return SymTensor(order, dim, out)
-
-
-def _sorted_keys(order: int, dim: int) -> Iterable[MultiIndex]:
-    if order == 0:
-        yield ()
-        return
-
-    def rec(start: int, left: int, prefix: tuple[int, ...]):
-        if left == 0:
-            yield prefix
-            return
-        for v in range(start, dim):
-            yield from rec(v, left - 1, prefix + (v,))
-
-    yield from rec(0, order, ())
 
 
 def contract(f: SymTensor, g: SymTensor, r: int) -> np.ndarray:

@@ -35,7 +35,7 @@ from chaosgamma.bounds import (
     wbar,
 )
 from chaosgamma import bounds, mc
-from chaosgamma.bounds import _variance_flag
+from chaosgamma.spectral import check_column
 from chaosgamma.chaos import (
     ChaosVector,
     evaluate,
@@ -482,13 +482,14 @@ def ok_spec_vector(rng, size=12):
 ROUTES = {"chaos-moment": assemble_density_bound, "malliavin-general": assemble_general_bound}
 
 
-# refused spectra and the routes that refuse them: eight eigenvalues at a
-# positive shift gap carry every chaos-moment column (E[w^-3] needs m > 6)
+# refused spectra and the routes that refuse them: eight eigenvalues at gap
+# 0 and a nonzero defect are too few for the mixed column (m > 8); eight at
+# a positive shift gap carry every chaos-moment column (E[w^-3] needs m > 6)
 # but not the general route's E[wbar^-6] (m > 12)
 REFUSALS = [
     ([0.6] * 10 + [-0.2], "negative eigenvalues", sorted(ROUTES)),
     ([0.3] * 12, "shift gap", sorted(ROUTES)),
-    ([0.5] * 8, "positive eigenvalues", sorted(ROUTES)),
+    ([0.6] * 4 + [0.2] * 4, "positive eigenvalues", sorted(ROUTES)),
     ([0.55] * 8, "positive eigenvalues", ["malliavin-general"]),
 ]
 
@@ -774,6 +775,56 @@ def test_zero_defect_bound_makes_one_pass(monkeypatch):
     assert rep.negative_moments == {} and rep.positive_moments == {}
 
 
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("m", [8, 14])
+def test_exact_gamma_spectrum_gives_zero_bound_on_both_routes(monkeypatch, route, m):
+    """On [0.5] * m, F + m/2 is exactly Gamma(m/2): both routes return the
+    bound 0 from the zero defect factor before any gradient-weight or
+    envelope column is planned or checked (at m = 8 those columns would be
+    refused), and the pass holds the density columns only."""
+    passes = []
+    run_chunked_multi = mc.run_chunked_multi
+
+    def counting(*args, **kwargs):
+        passes.append(args[3])
+        return run_chunked_multi(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "run_chunked_multi", counting)
+    F = ChaosVector.second_chaos_diagonal([0.5] * m)
+    alpha = second_moment(F)
+    rep = ROUTES[route](F, alpha, [alpha / 2, alpha], 5000, seed=85)
+    assert rep.flags == ("zero_defect_shortcut",)
+    assert rep.bound == {alpha / 2: 0.0, alpha: 0.0} and rep.prefactor == {}
+    assert rep.negative_moments == {} and rep.positive_moments == {}
+    assert passes == [2]
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize(
+    "m, flag",
+    [
+        (2, None),  # E[w^-1] needs m > 2: refused
+        (3, "infinite_variance"),  # its variance needs m > 4
+        (4, "infinite_variance"),
+        (6, ""),
+    ],
+)
+def test_density_column_at_or_below_the_shift_gap_is_checked(route, m, flag):
+    """At x <= alpha - sum(zeta) = 0 the event F + alpha > x holds where w
+    nears 0, so the order-0 density column is checked as E[w^-1]; above the
+    gap it is not checked.  The defect is zero on these spectra, so no other
+    column is checked."""
+    F = ChaosVector.second_chaos_diagonal([0.5] * m)
+    alpha = second_moment(F)
+    if flag is None:
+        with pytest.raises(ValueError, match=r"density\[0\] at x = -0.5 .*more than 2 nonzero"):
+            ROUTES[route](F, alpha, [-0.5, 1.0], 1000, seed=86)
+        return
+    rep = ROUTES[route](F, alpha, [-0.5, 1.0], 1000, seed=86)
+    assert rep.density_mc[-0.5].flags[-1:] == ((flag,) if flag else ())
+    assert "infinite_variance" not in rep.density_mc[1.0].flags
+
+
 # -- variance existence of the Monte Carlo columns ----------------------------------
 
 
@@ -823,4 +874,6 @@ def test_higher_chaos_negative_columns_flag_variance_unverified(route):
 )
 def test_variance_flag_rule(zeta, alpha, factors, flag):
     spectrum = None if zeta is None else np.array(zeta)
-    assert _variance_flag(spectrum, alpha, factors) == flag
+    a = sum(-p for name, _, p in factors if name != "F" and p < 0)
+    b = sum(-p for name, _, p in factors if name == "F" and p < 0)
+    assert check_column(spectrum, alpha, a, b, "the column") == flag

@@ -128,7 +128,7 @@ def test_bound_general_route(tmp_path, capsys):
 
 
 def test_bound_refusal_exit_code(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"spec": {"zeta": [0.5] * 8}, "mc": {"n": 1000, "seed": 1}})
+    cfg = write_config(tmp_path, {"spec": {"zeta": [0.6] * 4 + [0.2] * 4}, "mc": {"n": 1000, "seed": 1}})
     code = main(["bound", "--config", cfg, "--out", str(tmp_path)])
     err, _ = last_json_line(capsys)
     assert code == 3
@@ -309,6 +309,60 @@ def test_non_integral_or_mistyped_numbers_are_validation_errors(
     assert code == 1
     assert err["error"]["type"] == "validation"
     assert err["error"]["message"].startswith(f"{key} must be")
+
+
+@pytest.mark.parametrize(
+    "args, doc",
+    [
+        (["stein"], {**STEIN, "method": "bogus"}),
+        (["stein"], {**STEIN, "method": "bogus", "grid": []}),
+        (["stein"], {**STEIN, "grid": []}),
+        (["stein"], {**STEIN, "tolerances": {"residual": "abc"}}),
+        (["stein"], {**STEIN, "tolerances": {"residul": 1e-8}}),
+        (["bound", "--workers", "0"], DENSITY),
+        (["bound", "--workers", "-1"], DENSITY),
+        (["bound"], {**DENSITY, "xs": []}),
+        (["report"], {**DENSITY, "xs": []}),
+        (["bound", "--xs", ","], DENSITY),
+        (["report", "--xs", ","], DENSITY),
+        (["bound", "--seed", "abc"], DENSITY),
+        (["stein", "--method", "bogus"], STEIN),
+    ],
+)
+def test_bad_input_exits_one_with_the_error_json(tmp_path, capsys, args, doc):
+    """An unknown method or tolerance key, a non-numeric tolerance, an empty
+    grid or xs, a worker count below 1 and a malformed flag are validation
+    errors: exit 1 with the error JSON, never a default put in their place,
+    a refusal, or argparse's exit 2."""
+    cfg = write_config(tmp_path, {**doc, "mc": {"n": 1000}} if "spec" in doc else doc)
+    code = main(args + ["--config", cfg, "--out", str(tmp_path / "out")])
+    err, _ = last_json_line(capsys)
+    assert code == 1
+    assert err["error"]["type"] == "validation"
+
+
+@pytest.mark.parametrize(
+    "zeta, k, xs, code, flags",
+    [
+        # G_1 = 1 on this spectrum: the estimate at x = -0.5 would be 1 +- 0
+        # against 0, and E[w^-1] needs m > 2
+        ([0.5, 0.5], 0, [-0.5, 0.5], 3, None),
+        # E[w^-3] needs m > 6
+        ([0.5] * 6, 2, [-0.5], 3, None),
+        # E[w^-1] is finite but its variance needs m > 4; x = 0.5 is above the gap
+        ([0.5] * 3, 0, [-0.5, 0.5], 0, ["infinite_variance", ""]),
+    ],
+)
+def test_density_checks_columns_at_or_below_the_shift_gap(tmp_path, capsys, zeta, k, xs, code, flags):
+    cfg = write_config(tmp_path, {"spec": {"zeta": zeta}, "xs": xs, "k": k, "mc": {"n": 2000}})
+    assert main(["density", "--config", cfg, "--out", str(tmp_path)]) == code
+    err, _ = last_json_line(capsys)
+    if flags is None:
+        assert err["error"]["type"] == "refusal"
+        assert "density[0] at x = -0.5" in err["error"]["message"]
+        return
+    rows = (tmp_path / "density.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == flags
 
 
 CHAOS2 = {"dim": 2, "kernels": {"2": {"order": 2, "dim": 2, "entries": [[[0, 0], 0.5]]}}}
