@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .chaos import (
     DEFAULT_MAX_ORDER,
@@ -573,6 +573,8 @@ class BoundReport:
     directly.  ``negative_moments`` holds every Monte Carlo moment estimate
     that enters the prefactor; ``positive_moments`` records the value and
     the route (spectral / chaos-product / mc) of each positive moment.
+    ``moments`` keeps the ``even_chaos_moments`` of the chaos-moment route
+    for its caller; it is not serialized.
     """
 
     kind: str
@@ -594,6 +596,7 @@ class BoundReport:
     density_target: Mapping[float, float] = field(default_factory=dict)
     flags: tuple[str, ...] = ()
     meta: Mapping[str, object] = field(default_factory=dict)
+    moments: Mapping | None = field(default=None, compare=False, repr=False)
 
     def xs(self) -> list[float]:
         return sorted(self.bound)
@@ -654,8 +657,11 @@ class BoundReport:
         }
 
 
-def _validate_xs(xs, alpha: float) -> list[float]:
-    """xs as floats, each a threshold the order-0 Stein equation accepts."""
+def _checked_inputs(F: ChaosVector, alpha: float, xs) -> tuple[list[float], list[str]]:
+    """(xs as distinct floats the order-0 Stein equation accepts, flags)
+    after checking alpha = E[F^2]; off second chaos the flags say that
+    negative-moment existence is unverified."""
+    _check_alpha(F, alpha)
     pts = [float(x) for x in xs]
     if not pts:
         raise ValueError("need at least one evaluation point")
@@ -663,87 +669,98 @@ def _validate_xs(xs, alpha: float) -> list[float]:
         _check_branch(alpha, 0, x)
     if len(set(pts)) != len(pts):
         raise ValueError("evaluation points must be distinct")
-    return pts
+    if second_chaos_eigenvalues(F) is None:
+        return pts, ["negative_moment_existence_unverified"]
+    return pts, []
+
+
+# A prefactor term (coeff, root, {label: factors}) stands for
+# coeff * prod_label E[label]^(1/root), E[label] being the mean of the
+# ``mc.power_column`` of its factors.
+Term = tuple[float, int, Mapping[str, tuple]]
+
+
+def _term_value(term: Term, means: Mapping[str, float]) -> float:
+    coeff, root, labels = term
+    value = coeff
+    for k in labels:
+        value = value * (math.sqrt(means[k]) if root == 2 else means[k] ** (1.0 / root))
+    return value
 
 
 def _assemble_bound(
     kind: str,
     F: ChaosVector,
     alpha: float,
-    xs,
+    pts: list[float],
     n: int,
     seed: int,
     workers: int,
-    route_terms: Callable[..., tuple],
+    factor: float,
+    fields: dict,
+    vectors: Mapping[str, ChaosVector],
+    weights: list[Term],
     flags: list[str],
 ) -> BoundReport:
-    """The assembly both density bounds share.
-
-    Validates alpha, F and xs, and calls ``route_terms(flags)`` for what is
-    the route's own.  That call may add flags and returns (defect factor,
-    extra BoundReport fields, vectors, columns, weight_terms): the route's
-    Monte Carlo columns (label -> ``mc.power_column`` factors), the
-    ChaosVectors they read beyond ``mc.estimator_vectors(F, 0)``, and
-    ``weight_terms(means)``, the gradient-weight terms of the prefactor from
-    the columns' clamped means.  The bound at x is
-
-        (sum of envelope terms coeff * E[(F+alpha)^(2 power)]^(1/2)
-         + gradient-weight terms) * defect factor.
+    """The assembly both density bounds share.  ``vectors`` are what the
+    route's columns read beyond ``mc.estimator_vectors(F, 0)``.  The bound
+    at x is (envelope terms + gradient-weight terms) * defect factor, the
+    envelope coeff * |y|^power giving the L^2 term
+    (coeff, 2, {E[(F+a)^(2 power)]}), or coeff alone at power 0.
 
     A defect factor of exactly 0 means F + alpha is Gamma(alpha) (the
     fourth-moment characterisation of Nourdin & Peccati 2009): the bound is
     0 with no prefactor, and the pass holds only the density columns.
-    Otherwise the plan collects the exponents the envelopes need, in order
-    of first use; a nonnegative one takes its exact route from
-    ``shifted_positive_moment`` when there is one, every other one is a
+    Otherwise every label a term reads is one request, in order of first
+    use.  A single factor E[(F+alpha)^e], e >= 0, takes its exact route from
+    ``shifted_positive_moment`` when there is one; every other request is a
     column.  Every Monte Carlo number of the report (these columns and the
     density at each x) comes from one ``mc._checked_pass`` at seed + 3,
     which checks each column first: it refuses an infinite mean, and an
     infinite or unverified variance flags the column and the report.
     """
-    _check_alpha(F, alpha)
-    pts = _validate_xs(xs, alpha)
-    if second_chaos_eigenvalues(F) is None:
-        flags.append("negative_moment_existence_unverified")
-    factor, fields, vectors, columns, weight_terms = route_terms(flags)
-
     envs = {x: envelope(alpha, 0, x) for x in pts}
     label = "E[(F+a)^{:g}]".format
-    zero_defect = factor == 0.0
-    if zero_defect:
-        flags.append("zero_defect_shortcut")
-        vectors, columns = {}, {}
-    plan = {} if zero_defect else {
-        label(2.0 * p): 2.0 * p for x in pts for p, c in envs[x].terms if c != 0.0 and p != 0.0
+    terms = {
+        x: [
+            (c, 2, {label(2.0 * p): (("F", alpha, 2.0 * p),)} if p != 0.0 else {})
+            for p, c in envs[x].terms if c != 0.0
+        ]
+        for x in pts
     }
-    exact = {k: shifted_positive_moment(F, alpha, ex) for k, ex in plan.items() if ex >= 0}
-    columns.update((k, (("F", alpha, ex),)) for k, ex in plan.items() if exact.get(k) is None)
+    if factor == 0.0:
+        flags.append("zero_defect_shortcut")
+        vectors, weights, terms = {}, [], {}
+    requests: dict[str, tuple] = {}
+    for _, _, labels in weights + [t for x in terms for t in terms[x]]:
+        requests.update(labels)
+    # the exact route, or None, of each positive moment E[(F+alpha)^e]
+    exact = {
+        k: shifted_positive_moment(F, alpha, fac[0][2]) for k, fac in requests.items()
+        if len(fac) == 1 and fac[0][:2] == ("F", alpha) and fac[0][2] >= 0
+    }
+    columns = {k: fac for k, fac in requests.items() if exact.get(k) is None}
     ests, var_flags = _checked_pass(F, alpha, 0, pts, columns, vectors, n, seed + 3, workers)
     flags.extend(var_flags.values())
 
     pos: dict[str, dict] = {}
-    for k, ex in plan.items():
-        if k not in columns:
+    neg: dict[str, McEstimate] = {}
+    means: dict[str, float] = {}
+    for k in requests:
+        if exact.get(k) is not None:
             pos[k] = {"value": exact[k][0], "route": exact[k][1]}
-        elif ex >= 0:
+        elif k in exact:
             est = ests[k]
             pos[k] = {"value": est.value, "route": "mc", "stderr": est.stderr}
             mc_flags = list(est.flags) + ["signed_base_rejections"] * (est.n_rejected > 0)
             if mc_flags:
                 pos[k]["flags"] = mc_flags
-    neg = {k: ests[k] for k in columns if k not in pos}
-    means = {k: max(est.value, 0.0) for k, est in ests.items()}
-    means.update((k, rec["value"]) for k, rec in pos.items())
+        else:
+            neg[k] = ests[k]
+        means[k] = pos[k]["value"] if k in pos else max(neg[k].value, 0.0)
 
-    # the L^2 assembly of the envelope: coeff * |y|^power gives
-    # coeff * E[(F+alpha)^(2 power)]^(1/2)
-    prefactor = {} if zero_defect else {
-        x: sum(
-            c * math.sqrt(means[label(2.0 * p)]) if p != 0.0 else c
-            for p, c in envs[x].terms if c != 0.0
-        ) + weight_terms(means)
-        for x in pts
-    }
+    weight_sum = sum(_term_value(t, means) for t in weights)
+    prefactor = {x: sum(_term_value(t, means) for t in terms[x]) + weight_sum for x in terms}
     bound = {x: prefactor.get(x, 0.0) * factor for x in pts}
 
     density = {x: ests[f"density[{j}]"] for j, x in enumerate(pts)}
@@ -800,37 +817,27 @@ def assemble_density_bound(
     E[||DF||^-2] < inf (m >= 3).
     """
     q = _pure_even_order(F)
-
-    def route_terms(flags):
-        moments = even_chaos_moments(F, alpha)
-        combo = moments["fourth_moment_combo"]
-        if combo < -1e-9 * max(1.0, alpha * alpha):
-            flags.append("negative_combo_clamped")
-        radical = math.sqrt(q * q / 3.0 * max(combo, 0.0))
-        c1 = c1_constant(q)
-        fields = {
-            "fourth_moment_combo": combo,
-            "theta_var": moments["theta_var"],
-            "c1": c1,
-            "meta": {"radical": radical},
-        }
-        columns = {
-            "E[w^-2]": (("w", 0.0, -2.0),),
-            "E[w^-3]": (("w", 0.0, -3.0),),
-            "E[w^-2 (F+a)^-2]": (("w", 0.0, -2.0), ("F", alpha, -2.0)),
-        }
-
-        def weight_terms(m):
-            return (
-                math.sqrt(m["E[w^-2]"])
-                + abs(alpha - 1.0) * math.sqrt(m["E[w^-2 (F+a)^-2]"])
-                + c1 * math.sqrt(m["E[w^-3]"])
-            )
-
-        return radical, fields, {}, columns, weight_terms
-
+    pts, flags = _checked_inputs(F, alpha, xs)
+    moments = even_chaos_moments(F, alpha)
+    combo = moments["fourth_moment_combo"]
+    if combo < -1e-9 * max(1.0, alpha * alpha):
+        flags.append("negative_combo_clamped")
+    radical = math.sqrt(q * q / 3.0 * max(combo, 0.0))
+    c1 = c1_constant(q)
+    fields = {
+        "fourth_moment_combo": combo,
+        "theta_var": moments["theta_var"],
+        "c1": c1,
+        "moments": moments,
+        "meta": {"radical": radical},
+    }
+    weights = [
+        (1.0, 2, {"E[w^-2]": (("w", 0.0, -2.0),)}),
+        (abs(alpha - 1.0), 2, {"E[w^-2 (F+a)^-2]": (("w", 0.0, -2.0), ("F", alpha, -2.0))}),
+        (c1, 2, {"E[w^-3]": (("w", 0.0, -3.0),)}),
+    ]
     return _assemble_bound(
-        "chaos-moment", F, alpha, xs, n, seed, workers, route_terms, []
+        "chaos-moment", F, alpha, pts, n, seed, workers, radical, fields, {}, weights, flags
     )
 
 
@@ -869,47 +876,33 @@ def assemble_general_bound(
     """
     if s not in (4, 8, 12):
         raise ValueError(f"s must be one of 4, 8, 12; got {s}")
+    pts, flags = _checked_inputs(F, alpha, xs)
+    W = wbar(F)
+    ew = expectation(W)
+    if abs(ew - alpha) > _ALPHA_TOL * max(1.0, alpha):
+        raise ValueError(f"E[wbar] = {ew!r} does not match alpha = {alpha!r}")
 
-    def route_terms(flags):
-        W = wbar(F)
-        ew = expectation(W)
-        if abs(ew - alpha) > _ALPHA_TOL * max(1.0, alpha):
-            raise ValueError(f"E[wbar] = {ew!r} does not match alpha = {alpha!r}")
+    diff = malliavin_derivative(W) - malliavin_derivative(F)
+    gsq = diff.inner(diff)
+    e_def = s // 4
+    gsq_b = gsq.with_budget(max(gsq.max_order, moment_order(gsq, e_def)))
+    defect_moment = max(moment(gsq_b, e_def), 0.0)
 
-        diff = malliavin_derivative(W) - malliavin_derivative(F)
-        gsq = diff.inner(diff)
-        e_def = s // 4
-        gsq_b = gsq.with_budget(max(gsq.max_order, moment_order(gsq, e_def)))
-        defect_moment = max(moment(gsq_b, e_def), 0.0)
-
-        DLinv = malliavin_derivative(generator_inverse(F))
-        columns = {
-            "E[wbar^-2]": (("W", 0.0, -2.0),),
-            "E[wbar^-2 (F+a)^-2]": (("W", 0.0, -2.0), ("F", alpha, -2.0)),
-            "E[wbar^-6]": (("W", 0.0, -6.0),),
-            "E[||D Linv F||^3]": (("U", 0.0, 1.5),),
-        }
-
-        def weight_terms(m):
-            sqrt_m1 = math.sqrt(s / 2.0 - 1.0)
-            return (
-                sqrt_m1 * math.sqrt(m["E[wbar^-2]"])
-                + sqrt_m1 * abs(1.0 - alpha) * math.sqrt(m["E[wbar^-2 (F+a)^-2]"])
-                + m["E[wbar^-6]"] ** (1.0 / 3.0) * m["E[||D Linv F||^3]"] ** (1.0 / 3.0)
-            )
-
-        hs = 3.0 * s / (s - 3.0)
-        fields = {
-            "s": s,
-            "p": hs,
-            "r": hs,
-            "defect_moment": defect_moment,
-            "meta": {"m": s // 2},
-        }
-        vectors = {"W": W, "U": DLinv.inner(DLinv)}
-        return defect_moment ** (2.0 / s), fields, vectors, columns, weight_terms
-
-    flags = ["s4_constant_uncertified"] if s == 4 else []
+    DLinv = malliavin_derivative(generator_inverse(F))
+    sqrt_m1 = math.sqrt(s / 2.0 - 1.0)
+    weights = [
+        (sqrt_m1, 2, {"E[wbar^-2]": (("W", 0.0, -2.0),)}),
+        (
+            sqrt_m1 * abs(1.0 - alpha),
+            2,
+            {"E[wbar^-2 (F+a)^-2]": (("W", 0.0, -2.0), ("F", alpha, -2.0))},
+        ),
+        (1.0, 3, {"E[wbar^-6]": (("W", 0.0, -6.0),), "E[||D Linv F||^3]": (("U", 0.0, 1.5),)}),
+    ]
+    hs = 3.0 * s / (s - 3.0)
+    fields = {"s": s, "p": hs, "r": hs, "defect_moment": defect_moment, "meta": {"m": s // 2}}
+    flags = ["s4_constant_uncertified"] * (s == 4) + flags
     return _assemble_bound(
-        "malliavin-general", F, alpha, xs, n, seed, workers, route_terms, flags
+        "malliavin-general", F, alpha, pts, n, seed, workers, defect_moment ** (2.0 / s),
+        fields, {"W": W, "U": DLinv.inner(DLinv)}, weights, flags,
     )

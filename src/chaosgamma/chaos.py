@@ -292,18 +292,20 @@ def multiply(F: ChaosVector, G: ChaosVector) -> ChaosVector:
 
 def malliavin_derivative(F: ChaosVector) -> ChaosField:
     """DF, with D_j I_n(f) = n I_{n-1}(f(j, .))."""
-    comps = []
-    for j in range(F.dim):
-        ker: dict[int, SymTensor] = {}
-        const = 0.0
-        for n, f in F.kernels.items():
-            sl = f.slice(j).scale(float(n))
-            if n == 1:
-                const += sl.coeffs.get((), 0.0)
-            elif sl.coeffs:
-                ker[n - 1] = ker[n - 1] + sl if n - 1 in ker else sl
-        comps.append(ChaosVector(F.dim, const, ker, F.max_order))
-    return ChaosField(F.dim, tuple(comps))
+    return ChaosField(F.dim, tuple(_partial_derivative(F, j) for j in range(F.dim)))
+
+
+def _partial_derivative(F: ChaosVector, j: int) -> ChaosVector:
+    """D_j F, the j-th component of ``malliavin_derivative(F)``."""
+    ker: dict[int, SymTensor] = {}
+    const = 0.0
+    for n, f in F.kernels.items():
+        sl = f.slice(j).scale(float(n))
+        if n == 1:
+            const += sl.coeffs.get((), 0.0)
+        elif sl.coeffs:
+            ker[n - 1] = ker[n - 1] + sl if n - 1 in ker else sl
+    return ChaosVector(F.dim, const, ker, F.max_order)
 
 
 def divergence(u: ChaosField) -> ChaosVector:
@@ -315,7 +317,7 @@ def divergence(u: ChaosField) -> ChaosVector:
     total: ChaosVector | None = None
     for j in range(u.dim):
         zj = ChaosVector(u.dim, 0.0, {1: SymTensor(1, u.dim, {(j,): 1.0})}, u.components[j].max_order)
-        term = multiply(zj, u.components[j]) - malliavin_derivative(u.components[j]).components[j]
+        term = multiply(zj, u.components[j]) - _partial_derivative(u.components[j], j)
         total = term if total is None else total + term
     assert total is not None
     return total
@@ -477,16 +479,17 @@ def eval_jet(F: ChaosVector, z: Sequence[float], k: int) -> JetValue:
 
 def _derivative_components(F: ChaosVector, m: int) -> list[dict[MultiIndex, ChaosVector]]:
     """D^p F for p = 0..m: entry p maps each sorted multi-index X of size p
-    to D_(x_1) ... D_(x_p) F, built by applying ``malliavin_derivative`` to
-    the entries of order p - 1.  Identically zero components are omitted,
-    and each entry is in lexicographic order of X."""
+    to D_(x_1) ... D_(x_p) F, built by applying ``_partial_derivative`` to
+    the entries of order p - 1 in the directions j >= x_(p-1) only.
+    Identically zero components are omitted, and each entry is in
+    lexicographic order of X."""
     levels = [{(): F}]
     for _ in range(m):
         nxt: dict[MultiIndex, ChaosVector] = {}
         for X, G in levels[-1].items():
-            DG = malliavin_derivative(G)
             for j in range(X[-1] if X else 0, F.dim):
-                if DG[j].constant != 0.0 or DG[j].kernels:
-                    nxt[X + (j,)] = DG[j]
+                DjG = _partial_derivative(G, j)
+                if DjG.constant != 0.0 or DjG.kernels:
+                    nxt[X + (j,)] = DjG
         levels.append(nxt)
     return levels

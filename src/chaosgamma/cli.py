@@ -624,8 +624,10 @@ def cmd_verify(ns, cfg_sha: str, outdir: Path) -> tuple[int, dict]:
 
 def cmd_report(ns, cfg_sha: str, outdir: Path) -> tuple[int, dict]:
     F, alpha = _need_spec(ns)
-    moments = even_chaos_moments(F, alpha) if (F.is_pure_chaos() and F.top_order % 2 == 0) else None
     rep = _run_bound(ns, F, alpha)
+    moments = rep.moments
+    if moments is None and F.is_pure_chaos() and F.top_order % 2 == 0:
+        moments = even_chaos_moments(F, alpha)
     _write_bound_files(ns, cfg_sha, outdir, rep, alpha)
     if moments is not None:
         _write_json(outdir / "moments.json", moments)

@@ -53,6 +53,9 @@ __all__ = [
 CHUNK_SIZE = 16384
 REJECT_EPS = 1e-12
 HEAVY_TAIL_SHARE = 0.05
+# below 2^_SQUARE_EXP a square is below 2^960, so the squares of 2^60
+# samples still sum to a finite float
+_SQUARE_EXP = 480
 
 _U_LO = np.finfo(float).tiny
 _U_HI = 1.0 - np.finfo(float).epsneg
@@ -132,7 +135,10 @@ def run_chunked_multi(
     flag it ``nonfinite_samples``.  Each column is reduced on its own, so its
     estimate does not depend on the other columns of the pass; the fold over
     chunks uses math.fsum on per-chunk partial sums, so the result is
-    independent of the worker count.
+    independent of the worker count.  A column whose values pass 2^480 in a
+    chunk is squared there at a power-of-two scale, and the fold rescales
+    every chunk to the largest scale, so the stderr of values beyond about
+    1e154 stays finite; the other columns are squared as before.
     """
     sizes = _chunk_sizes(n)
 
@@ -146,13 +152,17 @@ def run_chunked_multi(
         finite = np.isfinite(vals)
         # one contiguous row per column, summed pairwise like a lone column
         safe = np.ascontiguousarray(np.where(finite, vals, 0.0).T)
+        peak = np.max(np.abs(safe), axis=1, initial=0.0)
+        shift = np.maximum(np.frexp(peak)[1] - _SQUARE_EXP, 0)
+        scaled = np.ldexp(safe, -shift[:, None]) if shift.any() else safe
         return (
             finite.sum(axis=0).astype(float),
             np.sum(safe, axis=1),
-            np.sum(safe * safe, axis=1),
+            np.sum(scaled * scaled, axis=1),
             np.sum(np.abs(safe), axis=1),
-            np.max(np.abs(safe), axis=1, initial=0.0),
+            peak,
             rejected,
+            shift,
         )
 
     if workers > 1:
@@ -166,7 +176,8 @@ def run_chunked_multi(
     for c in range(n_columns):
         n_used = int(math.fsum(s[0][c] for s in stats))
         total = math.fsum(s[1][c] for s in stats)
-        total_sq = math.fsum(s[2][c] for s in stats)
+        top = int(max(s[6][c] for s in stats))
+        total_sq = math.fsum(math.ldexp(s[2][c], 2 * (int(s[6][c]) - top)) for s in stats)
         total_abs = math.fsum(s[3][c] for s in stats)
         max_abs = max(s[4][c] for s in stats)
         rejected = sum(int(s[5][c]) for s in stats)
@@ -181,8 +192,9 @@ def run_chunked_multi(
             )
             continue
         mean = total / n_used
-        var = max(total_sq / n_used - mean * mean, 0.0)
-        stderr = math.sqrt(var / n_used)
+        scaled_mean = math.ldexp(mean, -top)
+        var = max(total_sq / n_used - scaled_mean * scaled_mean, 0.0)
+        stderr = math.ldexp(math.sqrt(var / n_used), top)
         share = max_abs / total_abs if total_abs > 0 else 0.0
         if share > HEAVY_TAIL_SHARE:
             flags.append("heavy_tail")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from scipy.special import gammainc, gammaincc, gammaln
 from .chaos import ChaosVector, expectation, second_moment, wbar
 from .gamma import gamma_pdf_deriv, nu_coefficients, signed_products
 from .mc import McEstimate, run_pass
-from .spectral import require_finite, second_chaos_eigenvalues
+from .spectral import check_column, second_chaos_eigenvalues
 
 __all__ = [
     "SteinSolution",
@@ -596,15 +596,15 @@ def stein_discrepancy(
     Both Monte Carlo means come from one Gaussian pass at ``seed``.  When F
     is pure second chaos the envelope-moment existence is prechecked on its
     spectrum: the squared envelope contains |F+alpha|^(-2p) terms, and
-    ``spectral.require_finite`` must certify the worst of them.
+    ``spectral.check_column`` must certify the worst of them; its variance
+    flag, if any, is on ``envelope_moment``.
     """
     _check_branch(alpha, k, x)
     _check_alpha(F, alpha)
     env = envelope(alpha, k, x)
     zeta = second_chaos_eigenvalues(F)
     worst = -2.0 * min(p for p, _ in env.terms)
-    if zeta is not None:
-        require_finite(zeta, alpha, 0.0, worst, f"the envelope moment E[(F+alpha)^-{worst:g}]")
+    flag = check_column(zeta, alpha, 0.0, worst, f"the envelope moment E[(F+alpha)^-{worst:g}]")
     eh = float(gamma_pdf_deriv(alpha, k, x))
 
     mismatch = (F + alpha) - wbar(F)
@@ -618,4 +618,6 @@ def stein_discrepancy(
         return env.bound(vals["F"] + alpha) ** 2, 0
 
     ests = run_pass({"F": F}, {"h": h, "env": env_sq}, n, seed, workers)
+    if flag is not None:
+        ests["env"] = replace(ests["env"], flags=ests["env"].flags + (flag,))
     return SteinDiscrepancy(alpha, k, float(x), ests["h"], eh, ests["env"], l2)

@@ -183,11 +183,14 @@ def repeated_product_moment(F, p):
 def test_moment_matches_repeated_products(F, p):
     """The isometry route E[F^a F^b] equals the expectation of F^p built in
     full.  Odd moments may cancel to ~0, so the tolerance is relative to
-    the hypercontractive bound E|F|^p <= (|c| + sum_n (p-1)^(n/2) ||I_n||)^p."""
+    the hypercontractive bound E|F|^p <= (|c| + sum_n (p-1)^(n/2) ||I_n||)^p.
+    A subnormal float has no relative precision, so the absolute tolerance
+    is at least the smallest normal float."""
     Fb = F.with_budget(max(F.max_order, ((p + 1) // 2) * F.top_order))
     norms = {n: math.sqrt(math.factorial(n) * f.norm_sq()) for n, f in F.kernels.items()}
     scale = (abs(F.constant) + sum(max(p - 1, 1) ** (n / 2) * v for n, v in norms.items())) ** p
-    assert moment(Fb, p) == pytest.approx(repeated_product_moment(F, p), rel=1e-10, abs=1e-10 * scale)
+    tol = max(1e-10 * scale, np.finfo(float).tiny)
+    assert moment(Fb, p) == pytest.approx(repeated_product_moment(F, p), rel=1e-10, abs=tol)
 
 
 @settings(deadline=None)

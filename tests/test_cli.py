@@ -443,6 +443,30 @@ def test_report_command(tmp_path, capsys):
     assert saved["moments"]["fourth_moment_combo"] == pytest.approx(0.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("route", ["chaos-moment", "malliavin-general"])
+def test_report_computes_the_chaos_moments_once(tmp_path, capsys, monkeypatch, route):
+    """The chaos-moment route hands its moments to ``report``; only the
+    general route leaves them to the command."""
+    import chaosgamma.bounds
+    import chaosgamma.cli
+
+    calls = []
+    original = chaosgamma.bounds.even_chaos_moments
+
+    def counted(F, alpha):
+        calls.append(alpha)
+        return original(F, alpha)
+
+    monkeypatch.setattr(chaosgamma.bounds, "even_chaos_moments", counted)
+    monkeypatch.setattr(chaosgamma.cli, "even_chaos_moments", counted)
+    cfg = write_config(tmp_path, {"spec": {"zeta": [0.55] * 13}, "mc": {"n": 2000, "seed": 14}})
+    out = tmp_path / "rep"
+    assert main(["report", "--config", cfg, "--out", str(out), "--route", route]) == 0
+    assert len(calls) == 1
+    saved = json.loads((out / "moments.json").read_text())
+    assert saved["fourth_moment_combo"] > 0.0
+
+
 def test_output_dir_env_honored(tmp_path, capsys, monkeypatch):
     target = tmp_path / "envdir"
     monkeypatch.setenv("CHAOSGAMMA_OUT", str(target))

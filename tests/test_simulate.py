@@ -61,6 +61,25 @@ def test_run_chunked_worker_count_invariance():
     assert one.chunking == three.chunking
 
 
+def test_run_chunked_stderr_of_huge_values_stays_finite():
+    """Squares of values near 1e200 overflow a float; the stderr of such a
+    column is still finite and is the stderr of the unscaled column times
+    the scale."""
+
+    def unit(gen, m):
+        return 1.0 + 0.1 * gen.standard_normal(m), 0
+
+    def huge(gen, m):
+        return 1e200 * unit(gen, m)[0], 0
+
+    n = 2 * CHUNK_SIZE + 99
+    small = run_chunked(unit, n, seed=9)
+    big = run_chunked(huge, n, seed=9, workers=2)
+    assert math.isfinite(big.stderr) and big.stderr > 0.0
+    assert big.value == pytest.approx(1e200 * small.value, rel=1e-12)
+    assert big.stderr == pytest.approx(1e200 * small.stderr, rel=1e-9)
+
+
 def test_run_chunked_multi_column_consistency():
     def sample_chunk(gen, m):
         z = gen.standard_normal(m)

@@ -225,6 +225,15 @@ def test_stein_discrepancy_refuses_thin_spectrum():
         stein_discrepancy(F, spec.alpha, 1, spec.alpha, n=1000, seed=20)
 
 
+def test_stein_discrepancy_flags_an_envelope_column_of_infinite_variance():
+    """At x = 0 the squared envelope needs E[(F+alpha)^-4], finite for ten
+    eigenvalues at shift gap 0, but its variance needs E[(F+alpha)^-8],
+    which is not."""
+    F = ChaosVector.second_chaos_diagonal([0.5] * 10)
+    disc = stein_discrepancy(F, 5.0, 0, 0.0, n=20_000, seed=23)
+    assert "infinite_variance" in disc.envelope_moment.flags
+
+
 def test_stein_discrepancy_prechecks_the_spectrum_of_f():
     """The precheck reads the spectrum of F itself: a thin zero-gap spectrum
     given as a rotated dense kernel is refused, while a thin spectrum with a
