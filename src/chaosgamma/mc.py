@@ -135,10 +135,10 @@ def run_chunked_multi(
     flag it ``nonfinite_samples``.  Each column is reduced on its own, so its
     estimate does not depend on the other columns of the pass; the fold over
     chunks uses math.fsum on per-chunk partial sums, so the result is
-    independent of the worker count.  A column whose values pass 2^480 in a
-    chunk is squared there at a power-of-two scale, and the fold rescales
-    every chunk to the largest scale, so the stderr of values beyond about
-    1e154 stays finite; the other columns are squared as before.
+    independent of the worker count.  Each column is squared at a
+    power-of-two scale that brings its chunk peak to at most 2^480 (scale 1,
+    which is exact, below that), and the fold rescales every chunk to the
+    largest scale, so the stderr of values beyond about 1e154 stays finite.
     """
     sizes = _chunk_sizes(n)
 
@@ -154,7 +154,7 @@ def run_chunked_multi(
         safe = np.ascontiguousarray(np.where(finite, vals, 0.0).T)
         peak = np.max(np.abs(safe), axis=1, initial=0.0)
         shift = np.maximum(np.frexp(peak)[1] - _SQUARE_EXP, 0)
-        scaled = np.ldexp(safe, -shift[:, None]) if shift.any() else safe
+        scaled = np.ldexp(safe, -shift[:, None])
         return (
             finite.sum(axis=0).astype(float),
             np.sum(safe, axis=1),

@@ -185,7 +185,9 @@ def test_moment_matches_repeated_products(F, p):
     full.  Odd moments may cancel to ~0, so the tolerance is relative to
     the hypercontractive bound E|F|^p <= (|c| + sum_n (p-1)^(n/2) ||I_n||)^p.
     A subnormal float has no relative precision, so the absolute tolerance
-    is at least the smallest normal float."""
+    is at least the smallest normal float.  That floor only acts when
+    1e-10 * scale is itself subnormal (scale below about 2.2e-298); for
+    every larger scale the tolerance is 1e-10 * scale as before."""
     Fb = F.with_budget(max(F.max_order, ((p + 1) // 2) * F.top_order))
     norms = {n: math.sqrt(math.factorial(n) * f.norm_sq()) for n, f in F.kernels.items()}
     scale = (abs(F.constant) + sum(max(p - 1, 1) ** (n / 2) * v for n, v in norms.items())) ** p
