@@ -154,7 +154,9 @@ def run_chunked_multi(
         safe = np.ascontiguousarray(np.where(finite, vals, 0.0).T)
         peak = np.max(np.abs(safe), axis=1, initial=0.0)
         shift = np.maximum(np.frexp(peak)[1] - _SQUARE_EXP, 0)
-        scaled = np.ldexp(safe, -shift[:, None])
+        # a power of two scales exactly; np.ldexp on the whole chunk costs
+        # several times the square it guards
+        scaled = safe * np.ldexp(1.0, -shift)[:, None]
         return (
             finite.sum(axis=0).astype(float),
             np.sum(safe, axis=1),
