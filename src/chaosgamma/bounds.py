@@ -688,6 +688,24 @@ def _term_value(term: Term, means: Mapping[str, float]) -> float:
     return value
 
 
+def _require_finite_bound(
+    x: float, terms: list[Term], means: Mapping[str, float], bound: float
+) -> None:
+    """FloatingPointError unless every term of the bound at x, and the
+    bound, is finite; the message names the first term that is not and the
+    moments it reads."""
+    for t in terms:
+        value = _term_value(t, means)
+        if not math.isfinite(value):
+            reads = ", ".join(f"{k} = {means[k]!r}" for k in t[2]) or "no moment"
+            raise FloatingPointError(
+                f"the bound at x = {x:g} is not finite: its term with coefficient "
+                f"{t[0]:g} is {value!r} (it reads {reads})"
+            )
+    if not math.isfinite(bound):
+        raise FloatingPointError(f"the bound at x = {x:g} overflows to {bound!r} from finite terms")
+
+
 def _assemble_bound(
     kind: str,
     F: ChaosVector,
@@ -762,6 +780,8 @@ def _assemble_bound(
     weight_sum = sum(_term_value(t, means) for t in weights)
     prefactor = {x: sum(_term_value(t, means) for t in terms[x]) + weight_sum for x in terms}
     bound = {x: prefactor.get(x, 0.0) * factor for x in pts}
+    for x in terms:
+        _require_finite_bound(x, weights + terms[x], means, bound[x])
 
     density = {x: ests[f"density[{j}]"] for j, x in enumerate(pts)}
     for x in pts:

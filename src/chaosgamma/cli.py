@@ -30,9 +30,10 @@ Config keys (all optional unless a command needs them):
     }
 
 Exit codes: 0 success, 1 config/spec validation error, 2 numerical failure
-(including a violated runtime check), 3 precondition refusal from the
-library (odd chaos order, unsupported negative moments, x = 0 with small
-alpha, and similar).  Failures print a machine-readable error JSON.
+(a violated runtime check, a float overflow, or a non-finite bound), 3
+precondition refusal from the library (odd chaos order, unsupported negative
+moments, x = 0 with small alpha, and similar).  Failures print a
+machine-readable error JSON.
 The output directory may also come from the environment variable
 CHAOSGAMMA_OUT; flags win over the config, the config over the environment.
 """
@@ -45,7 +46,6 @@ import json
 import math
 import os
 import sys
-from importlib.metadata import version
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +309,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _manifest(ns, cfg_sha: str, params: dict) -> dict:
+    import scipy  # the top-level package only; its submodules load lazily
+
     return {
         "command": ns.command,
         "config_sha256": cfg_sha,
@@ -318,7 +320,7 @@ def _manifest(ns, cfg_sha: str, params: dict) -> dict:
         "package_versions": {
             "chaosgamma": __version__,
             "numpy": np.__version__,
-            "scipy": version("scipy"),
+            "scipy": scipy.__version__,
         },
     }
 
@@ -701,7 +703,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(json.dumps({"error": {"type": "validation", "message": str(exc)}}))
         return EXIT_VALIDATION
-    except (OrderBudgetError, RuntimeError, FloatingPointError) as exc:
+    except (OrderBudgetError, RuntimeError, FloatingPointError, OverflowError) as exc:
         print(json.dumps({"error": {"type": "numerical", "message": str(exc)}}))
         return EXIT_NUMERICAL
     except ValueError as exc:

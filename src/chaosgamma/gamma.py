@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .mc import (
     McEstimate,
@@ -56,6 +55,8 @@ def signed_products(alpha: float, k: int) -> list[float]:
 
 def gamma_pdf(alpha: float, x: "float | np.ndarray") -> "float | np.ndarray":
     """Density of Gamma(alpha, 1); zero on the closed negative axis."""
+    from scipy.special import gammaln
+
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     x = np.asarray(x, dtype=float)
@@ -73,6 +74,8 @@ def gamma_pdf_deriv(alpha: float, k: int, x: "float | np.ndarray") -> "float | n
     (and equals 0) only when alpha > k + 1; otherwise a ValueError explains
     the refusal.
     """
+    from scipy.special import gammaln
+
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if k < 0:

@@ -17,7 +17,6 @@ from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaincinv, ndtri
 
 from .chaos import (
     ChaosVector,
@@ -69,12 +68,16 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
 def standard_normals(gen: np.random.Generator, shape) -> np.ndarray:
     """N(0,1) variates by inverse CDF (deterministic draw count)."""
+    from scipy.special import ndtri
+
     u = gen.random(shape)
     return ndtri(np.clip(u, _U_LO, _U_HI))
 
 
 def gamma_variates(gen: np.random.Generator, alpha: float, size: int) -> np.ndarray:
     """Gamma(alpha, 1) variates by inverse CDF."""
+    from scipy.special import gammaincinv
+
     u = gen.random(size)
     return gammaincinv(alpha, np.clip(u, _U_LO, _U_HI))
 

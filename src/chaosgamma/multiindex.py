@@ -25,8 +25,8 @@ def as_multi_index(indices: Sequence[int]) -> MultiIndex:
 def permutation_count(m: MultiIndex) -> int:
     """Number of distinct orderings of m: |m|! / prod_i (count_i!)."""
     c = factorial(len(m))
-    for k in Counter(m).values():
-        c //= factorial(k)
+    for v in set(m):
+        c //= factorial(m.count(v))
     return c
 
 
@@ -35,15 +35,13 @@ def merge(a: MultiIndex, b: MultiIndex) -> MultiIndex:
 
 
 def subtract(m: MultiIndex, sub: MultiIndex) -> MultiIndex:
-    """m minus sub, counting multiplicity.  Caller guarantees containment."""
-    cm = Counter(m)
-    cm.subtract(Counter(sub))
-    out: list[int] = []
-    for v in sorted(cm):
-        k = cm[v]
-        if k < 0:
-            raise ValueError("subtract: second argument is not a sub-multiset")
-        out.extend([v] * k)
+    """m minus sub, counting multiplicity; ValueError unless sub is contained."""
+    out = list(m)
+    for v in sub:
+        try:
+            out.remove(v)
+        except ValueError:
+            raise ValueError("subtract: second argument is not a sub-multiset") from None
     return tuple(out)
 
 
@@ -55,7 +53,7 @@ def sub_multisets(m: MultiIndex, r: int) -> list[tuple[MultiIndex, MultiIndex]]:
     """
     if r < 0 or r > len(m):
         return []
-    items = sorted(Counter(m).items())
+    items = [(v, m.count(v)) for v in sorted(set(m))]
     out: list[tuple[MultiIndex, MultiIndex]] = []
 
     def rec(idx: int, need: int, chosen: list[int]) -> None:
@@ -81,10 +79,9 @@ def split_count(whole: MultiIndex, part: MultiIndex) -> int:
     With c_v copies of v in whole and u_v requested in part this is
     prod_v C(c_v, u_v); zero when part is not contained in whole.
     """
-    cw = Counter(whole)
     n = 1
-    for v, k in Counter(part).items():
-        n *= comb(cw.get(v, 0), k)
+    for v in set(part):
+        n *= comb(whole.count(v), part.count(v))
         if n == 0:
             return 0
     return n

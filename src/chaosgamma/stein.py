@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln
 
 from .chaos import ChaosVector, expectation, second_moment, wbar
 from .gamma import gamma_pdf_deriv, nu_coefficients, signed_products
@@ -139,6 +138,8 @@ def _ewpi_series(beta: float, A: float, Y: float) -> float:
 
 def _ewpi_large(beta: float, A: float, Y: float) -> float:
     """Large-Y expansion: substitute s = Y - t and expand (1 - t/Y)^(beta-1)."""
+    from scipy.special import gammainc
+
     D = Y - A
     acc = 0.0
     coeff = 1.0
@@ -179,11 +180,15 @@ def exp_weighted_power_integral(beta: float, A: float, Y: float) -> float:
 
 def _exp_lower_gamma(alpha: float, y: float) -> float:
     """e^y * int_0^y e^(-s) s^(alpha-1) ds = e^y Gamma(alpha) P(alpha, y)."""
+    from scipy.special import gammainc, gammaln
+
     return math.exp(y + gammaln(alpha)) * gammainc(alpha, y)
 
 
 def _exp_upper_gamma(alpha: float, y: float) -> float:
     """e^y * int_y^inf e^(-s) s^(alpha-1) ds, stable for large y."""
+    from scipy.special import gammaincc, gammaln
+
     if y <= 300.0:
         return math.exp(y + gammaln(alpha)) * gammaincc(alpha, y)
     acc = 0.0

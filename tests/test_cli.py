@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.metadata
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chaosgamma
 from chaosgamma.chaos import ChaosVector
 from chaosgamma.cli import main
 from chaosgamma.tensors import symmetrize
@@ -24,6 +30,16 @@ def write_config(tmp_path, doc, name="cfg.json"):
 def last_json_line(capsys):
     out = capsys.readouterr().out.strip().splitlines()
     return json.loads(out[-1]), out
+
+
+def fresh_python(cwd, *args):
+    """Run ``python ARGS`` in a new interpreter that imports this package:
+    its own warning filters, its own sys.modules."""
+    src = str(Path(chaosgamma.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def test_verify_command(tmp_path, capsys):
@@ -60,6 +76,35 @@ def test_moments_values_and_manifest(tmp_path, capsys):
     assert manifest["config_sha256"] == hashlib.sha256(raw).hexdigest()
     assert "workers" not in manifest and "workers" not in manifest["params"]
     assert "out" not in manifest["params"]
+
+
+def test_manifest_scipy_version_is_the_installed_distribution(tmp_path, capsys):
+    cfg = write_config(tmp_path, TIGHT)
+    assert main(["moments", "--config", cfg, "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["package_versions"]["scipy"] == importlib.metadata.version("scipy")
+
+
+def test_import_loads_no_scipy_special(tmp_path):
+    script = "import sys, chaosgamma.cli; print('scipy.special' in sys.modules)"
+    proc = fresh_python(tmp_path, "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+def test_moments_command_loads_no_scipy_special(tmp_path):
+    rng = np.random.default_rng(5)
+    F = ChaosVector.from_kernel(symmetrize(rng.normal(size=(2, 2, 2, 2)) * 0.3))
+    cfg = write_config(tmp_path, {"spec": {"chaos": F.to_json_dict()}})
+    script = (
+        "import sys; from chaosgamma.cli import main; "
+        f"code = main(['moments', '--config', {cfg!r}, '--out', 'out']); "
+        "print(code, 'scipy.special' in sys.modules)"
+    )
+    proc = fresh_python(tmp_path, "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "out" / "moments.json").exists()
 
 
 def test_moments_refuses_odd_order(tmp_path, capsys):
@@ -106,6 +151,23 @@ def test_bound_files_and_worker_invariance(tmp_path, capsys):
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["params"]["route"] == "chaos-moment"
     assert "workers" not in json.dumps(manifest)
+
+
+def test_bound_that_overflows_exits_two_naming_x_and_term(tmp_path):
+    # the moments E[(F+a)^p] overflow for p past about 150 here, so the bound
+    # at x = alpha would be Infinity; numpy warns on the way, hence a fresh
+    # interpreter outside pytest's RuntimeWarning-as-error filter
+    cfg = write_config(tmp_path, {"spec": {"zeta": [0.55] + [0.5] * 162 + [0.45], "alpha": 82.01}})
+    proc = fresh_python(
+        tmp_path, "-m", "chaosgamma.cli", "bound", "--config", cfg, "--n", "200", "--xs", "82.01",
+        "--out", "out",
+    )
+    err = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert proc.returncode == 2
+    assert err["error"]["type"] == "numerical"
+    assert "x = 82.01" in err["error"]["message"]
+    assert "E[(F+a)^" in err["error"]["message"]
+    assert not (tmp_path / "out" / "bound_report.json").exists()
 
 
 def test_bound_general_route(tmp_path, capsys):
@@ -208,6 +270,13 @@ def test_stein_quad_method(tmp_path, capsys):
     assert code == 0
     saved = json.loads((tmp_path / "stein.json").read_text())
     assert saved["method"] == "quad"
+
+
+def test_stein_overflow_is_a_numerical_error(tmp_path, capsys):
+    code = main(["stein", "--alpha", "200", "--k", "0", "--x", "100", "--out", str(tmp_path)])
+    err, _ = last_json_line(capsys)
+    assert code == 2
+    assert err["error"]["type"] == "numerical"
 
 
 def test_stein_requires_alpha_and_x(tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -88,6 +89,55 @@ def test_split_count_is_a_multinomial():
     assert split_count(m, as_multi_index((0,))) == 2
     assert split_count(m, as_multi_index((1,))) == 1
     assert split_count(m, as_multi_index((0, 1))) == 2
+
+
+# Counter-based reference counts, the definitions the sorted-tuple counting in
+# chaosgamma.multiindex must reproduce
+
+
+def _ref_permutation_count(m):
+    c = math.factorial(len(m))
+    for k in Counter(m).values():
+        c //= math.factorial(k)
+    return c
+
+
+def _ref_split_count(whole, part):
+    cw = Counter(whole)
+    return math.prod(math.comb(cw[v], k) for v, k in Counter(part).items())
+
+
+def _ref_subtract(m, sub):
+    rest = Counter(m)
+    rest.subtract(Counter(sub))
+    if min(rest.values(), default=0) < 0:
+        raise ValueError("not a sub-multiset")
+    return tuple(sorted(rest.elements()))
+
+
+def _ref_sub_multisets(m, r):
+    subs = sorted(set(itertools.combinations(m, r))) if 0 <= r <= len(m) else []
+    return [(s, _ref_subtract(m, s)) for s in subs]
+
+
+_multi_indices = st.lists(st.integers(0, 6), max_size=8).map(as_multi_index)
+
+
+@given(_multi_indices, _multi_indices, st.integers(-1, 9))
+def test_multiset_counts_match_a_counter_reference(m, other, r):
+    assert permutation_count(m) == _ref_permutation_count(m)
+    assert split_count(m, other) == _ref_split_count(m, other)
+    assert sorted(sub_multisets(m, r)) == _ref_sub_multisets(m, r)
+    for sub, _ in sub_multisets(m, r):
+        assert split_count(m, sub) == _ref_split_count(m, sub)
+        assert subtract(m, sub) == _ref_subtract(m, sub)
+    try:
+        expected = _ref_subtract(m, other)
+    except ValueError:
+        with pytest.raises(ValueError, match="sub-multiset"):
+            subtract(m, other)
+    else:
+        assert subtract(m, other) == expected
 
 
 # -- SymTensor basics ----------------------------------------------------------------
