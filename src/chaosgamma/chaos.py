@@ -31,14 +31,13 @@ an enormous expansion; ``moment_order`` gives the order ``moment`` needs.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from math import comb, factorial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .multiindex import MultiIndex, distinct_permutations, permutation_count
+from .multiindex import MultiIndex, distinct_permutations, multiplicities, permutation_count
 from .polynomials import hermite_table
 from .tensors import SymTensor, contract_sym
 
@@ -411,7 +410,7 @@ def needed_degree(vectors: Iterable[ChaosVector]) -> int:
         for f in F.kernels.values():
             for key in f.coeffs:
                 if key:
-                    deg = max(deg, max(Counter(key).values()))
+                    deg = max(deg, max(k for _, k in multiplicities(key)))
     return deg
 
 
@@ -419,7 +418,10 @@ def evaluate(F: ChaosVector, Z: np.ndarray, table: np.ndarray | None = None) -> 
     """Evaluate F at sample rows Z of shape (S, d); returns shape (S,).
 
     ``table`` may carry a precomputed Hermite table from ``hermite_table``
-    (shape (S, d, deg+1)) shared across several vectors on the same chunk.
+    (shape (S, d, deg+1)) shared across several vectors on the same chunk;
+    that layout makes each factor ``table[:, v, a]`` a contiguous row.
+    Each term is its scaled coefficient times its factors in ascending
+    label order, folded into one reused buffer; that order fixes the bits.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.ndim == 1:
@@ -429,12 +431,13 @@ def evaluate(F: ChaosVector, Z: np.ndarray, table: np.ndarray | None = None) -> 
     if table is None:
         table = hermite_table(Z, needed_degree([F]))
     out = np.full(Z.shape[0], F.constant)
+    term = np.empty(Z.shape[0])
     for _, f in sorted(F.kernels.items()):
         for key, val in f.coeffs.items():
-            c = Counter(key)
-            term = np.full(Z.shape[0], val * float(permutation_count(key)))
-            for v, a in c.items():
-                term = term * table[:, v, a]
+            (v, a), *rest = multiplicities(key)
+            np.multiply(val * float(permutation_count(key)), table[:, v, a], out=term)
+            for v, a in rest:
+                term *= table[:, v, a]
             out += term
     return out
 

@@ -146,29 +146,33 @@ def run_chunked_multi(
     sizes = _chunk_sizes(n)
 
     def work(i: int):
-        gen = substream(seed, i)
-        vals, rejected = sample_chunk(gen, sizes[i])
-        vals = np.asarray(vals, dtype=float)
-        rejected = np.asarray(rejected, dtype=np.int64)
-        if vals.shape != (sizes[i], n_columns) or rejected.shape != (n_columns,):
-            raise ValueError(f"sample_chunk returned shapes {vals.shape}, {rejected.shape}")
-        finite = np.isfinite(vals)
-        # one contiguous row per column, summed pairwise like a lone column
-        safe = np.ascontiguousarray(np.where(finite, vals, 0.0).T)
-        peak = np.max(np.abs(safe), axis=1, initial=0.0)
-        shift = np.maximum(np.frexp(peak)[1] - _SQUARE_EXP, 0)
-        # a power of two scales exactly; np.ldexp on the whole chunk costs
-        # several times the square it guards
-        scaled = safe * np.ldexp(1.0, -shift)[:, None]
-        return (
-            finite.sum(axis=0).astype(float),
-            np.sum(safe, axis=1),
-            np.sum(scaled * scaled, axis=1),
-            np.sum(np.abs(safe), axis=1),
-            peak,
-            rejected,
-            shift,
-        )
+        # a value or sum past the float range becomes inf and reaches the
+        # estimate, whose callers refuse it; numpy need not warn on the way
+        # (errstate is per thread, so it is set here, in the worker)
+        with np.errstate(over="ignore"):
+            gen = substream(seed, i)
+            vals, rejected = sample_chunk(gen, sizes[i])
+            vals = np.asarray(vals, dtype=float)
+            rejected = np.asarray(rejected, dtype=np.int64)
+            if vals.shape != (sizes[i], n_columns) or rejected.shape != (n_columns,):
+                raise ValueError(f"sample_chunk returned shapes {vals.shape}, {rejected.shape}")
+            finite = np.isfinite(vals)
+            # one contiguous row per column, summed pairwise like a lone column
+            safe = np.ascontiguousarray(np.where(finite, vals, 0.0).T)
+            peak = np.max(np.abs(safe), axis=1, initial=0.0)
+            shift = np.maximum(np.frexp(peak)[1] - _SQUARE_EXP, 0)
+            # a power of two scales exactly; np.ldexp on the whole chunk costs
+            # several times the square it guards
+            scaled = safe * np.ldexp(1.0, -shift)[:, None]
+            return (
+                finite.sum(axis=0).astype(float),
+                np.sum(safe, axis=1),
+                np.sum(scaled * scaled, axis=1),
+                np.sum(np.abs(safe), axis=1),
+                peak,
+                rejected,
+                shift,
+            )
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -10,7 +10,6 @@ live here.
 
 from __future__ import annotations
 
-from collections import Counter
 from math import comb, factorial
 from typing import Iterator, Sequence
 
@@ -20,6 +19,11 @@ MultiIndex = tuple[int, ...]
 def as_multi_index(indices: Sequence[int]) -> MultiIndex:
     """Sorted tuple representative of a multiset of basis labels."""
     return tuple(sorted(int(i) for i in indices))
+
+
+def multiplicities(m: MultiIndex) -> list[tuple[int, int]]:
+    """(label, count) pairs of the sorted multi-index m, labels ascending."""
+    return [(v, m.count(v)) for v in dict.fromkeys(m)]
 
 
 def permutation_count(m: MultiIndex) -> int:
@@ -53,7 +57,7 @@ def sub_multisets(m: MultiIndex, r: int) -> list[tuple[MultiIndex, MultiIndex]]:
     """
     if r < 0 or r > len(m):
         return []
-    items = [(v, m.count(v)) for v in sorted(set(m))]
+    items = multiplicities(m)
     out: list[tuple[MultiIndex, MultiIndex]] = []
 
     def rec(idx: int, need: int, chosen: list[int]) -> None:
@@ -92,7 +96,7 @@ def distinct_permutations(m: MultiIndex) -> Iterator[MultiIndex]:
     if not m:
         yield ()
         return
-    counter = Counter(m)
+    counter = dict(multiplicities(m))
     values = sorted(counter)
     buf: list[int] = []
 

@@ -29,15 +29,20 @@ def hermite_value(n: int, x: "float | np.ndarray") -> "float | np.ndarray":
 
 
 def hermite_table(z: np.ndarray, nmax: int) -> np.ndarray:
-    """Stack He_0..He_nmax evaluated at z; shape z.shape + (nmax+1,)."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty(z.shape + (nmax + 1,))
-    out[..., 0] = 1.0
+    """Stack He_0..He_nmax evaluated at z; shape z.shape + (nmax+1,).
+
+    The result is the transpose of a C-ordered array of shape
+    (nmax+1,) + z.T.shape, so for sample rows z of shape (S, d) every
+    ``table[:, v, a]`` = He_a(z[:, v]) is a contiguous run of S floats.
+    """
+    zt = np.asarray(z, dtype=float).T.copy()
+    out = np.empty((nmax + 1,) + zt.shape)
+    out[0] = 1.0
     if nmax >= 1:
-        out[..., 1] = z
+        out[1] = zt
     for k in range(1, nmax):
-        out[..., k + 1] = z * out[..., k] - k * out[..., k - 1]
-    return out
+        out[k + 1] = zt * out[k] - k * out[k - 1]
+    return out.T
 
 
 def laguerre_value(n: int, alpha: float, x: "float | np.ndarray") -> "float | np.ndarray":

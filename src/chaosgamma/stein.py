@@ -392,10 +392,19 @@ def solve(
     f = np.empty(len(g))
     fp = np.empty(len(g))
     for i, y in enumerate(g):
-        if method == "exact":
-            f[i], fp[i] = _solve_exact_point(alpha, k, x, br, eh, rhs, y)
-        else:
-            f[i], fp[i] = _solve_quad_point(alpha, k, x, br, rhs, y)
+        try:
+            if method == "exact":
+                f[i], fp[i] = _solve_exact_point(alpha, k, x, br, eh, rhs, y)
+            else:
+                f[i], fp[i] = _solve_quad_point(alpha, k, x, br, rhs, y)
+        except OverflowError as exc:
+            tb = exc.__traceback__
+            while tb.tb_next is not None:
+                tb = tb.tb_next
+            raise OverflowError(
+                f"stein solve ({method}) overflowed in {tb.tb_frame.f_code.co_name} "
+                f"at alpha = {alpha}, k = {k}, x = {x}, y = {y}: {exc}"
+            ) from exc
     return SteinSolution(alpha, k, float(x), tuple(g), f, fp, eh, method)
 
 

@@ -9,6 +9,7 @@ finite differences for jets.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -33,8 +34,11 @@ from chaosgamma.chaos import (
     malliavin_derivative,
     moment,
     multiply,
+    needed_degree,
     second_moment,
 )
+from chaosgamma.multiindex import as_multi_index, permutation_count
+from chaosgamma.polynomials import hermite_table
 from chaosgamma.spectral import negative_moment_exists
 from chaosgamma.tensors import SymTensor, symmetrize, tensor_from_dense
 
@@ -390,3 +394,61 @@ def test_kernel_order_validation():
 )
 def test_negative_moment_existence_rule(zeta, alpha, a, b, finite):
     assert negative_moment_exists(np.array(zeta), alpha, a, b) is finite
+
+
+# -- evaluation bits ----------------------------------------------------------------
+
+
+def reference_hermite_table(Z, nmax):
+    """The C-ordered (S, d, nmax+1) table built by the same recurrence."""
+    out = np.empty(Z.shape + (nmax + 1,))
+    out[..., 0] = 1.0
+    if nmax >= 1:
+        out[..., 1] = Z
+    for k in range(1, nmax):
+        out[..., k + 1] = Z * out[..., k] - k * out[..., k - 1]
+    return out
+
+
+def reference_evaluate(F, Z, table):
+    """One fresh array per term, multiplied by its factors in Counter order."""
+    out = np.full(Z.shape[0], F.constant)
+    for _, f in sorted(F.kernels.items()):
+        for key, val in f.coeffs.items():
+            term = np.full(Z.shape[0], val * float(permutation_count(key)))
+            for v, a in Counter(key).items():
+                term = term * table[:, v, a]
+            out += term
+    return out
+
+
+@st.composite
+def sparse_chaos_vectors(draw, dim):
+    """A constant plus sparse kernels of orders 1-4 whose keys repeat labels;
+    no order at all gives a constant-only vector."""
+    kernels = {}
+    for n in draw(st.sets(st.integers(1, 4), max_size=4)):
+        keys = st.lists(st.integers(0, dim - 1), min_size=n, max_size=n).map(as_multi_index)
+        kernels[n] = SymTensor(n, dim, draw(st.dictionaries(keys, coefficients, max_size=8)))
+    return ChaosVector(dim, draw(coefficients), kernels)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_evaluate_matches_the_reference_bit_for_bit(data):
+    """``evaluate`` reproduces the per-term reference exactly, with its own
+    table, with a table shared with another vector, on one row and on a
+    non-contiguous view of the rows."""
+    d = data.draw(st.integers(1, 6))
+    F = data.draw(sparse_chaos_vectors(d))
+    G = data.draw(sparse_chaos_vectors(d))
+    point = st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d)
+    rows = np.array(data.draw(st.lists(point, min_size=1, max_size=9)))
+    deg = needed_degree([F, G])
+    for Z in (rows, rows[:1], rows[::2]):
+        ref = reference_evaluate(F, Z, reference_hermite_table(Z, deg))
+        assert np.array_equal(hermite_table(Z, deg), reference_hermite_table(Z, deg))
+        assert np.array_equal(evaluate(F, Z), ref)
+        assert np.array_equal(evaluate(F, Z, hermite_table(Z, deg)), ref)
+    const = ChaosVector(d, F.constant)
+    assert np.array_equal(evaluate(const, rows), np.full(len(rows), F.constant))

@@ -16,7 +16,7 @@ import pytest
 import chaosgamma
 from chaosgamma.chaos import ChaosVector
 from chaosgamma.cli import main
-from chaosgamma.tensors import symmetrize
+from chaosgamma.tensors import SymTensor, symmetrize
 
 TIGHT = {"spec": {"zeta": [0.5] * 12, "alpha": 6.0}}
 
@@ -170,6 +170,47 @@ def test_bound_that_overflows_exits_two_naming_x_and_term(tmp_path):
     assert not (tmp_path / "out" / "bound_report.json").exists()
 
 
+def test_bound_that_overflows_warns_nothing(tmp_path, capsys):
+    # in process, so pytest's RuntimeWarning-as-error filter applies: the
+    # infinite moment reaches the refusal without a numpy overflow warning
+    cfg = write_config(tmp_path, {"spec": {"zeta": [0.55] + [0.5] * 162 + [0.45], "alpha": 82.01}})
+    code = main(["bound", "--config", cfg, "--n", "200", "--out", str(tmp_path / "out")])
+    err, _ = last_json_line(capsys)
+    assert code == 2
+    assert err["error"] == {
+        "type": "numerical",
+        "message": "the bound at x = 41.005 is not finite: its term with coefficient "
+        "7.50291e-133 is inf (it reads E[(F+a)^154.02] = inf)",
+    }
+
+
+def haar_rotated_second_chaos(zeta, seed):
+    """I_2(Q diag(zeta) Q^T) for a Haar-random orthogonal Q: a dense kernel
+    with the law of the diagonal one."""
+    d = len(zeta)
+    Q, R = np.linalg.qr(np.random.default_rng(seed).normal(size=(d, d)))
+    Q = Q * np.sign(np.diag(R))
+    A = Q @ np.diag(zeta) @ Q.T
+    entries = {(i, j): A[i, j] for i in range(d) for j in range(i, d)}
+    return ChaosVector(d, 0.0, {2: SymTensor(2, d, entries)})
+
+
+def test_dense_second_chaos_bound_is_worker_invariant(tmp_path, capsys):
+    # 40 000 samples make three chunks, so the two workers split the pass
+    F = haar_rotated_second_chaos(np.linspace(0.6, 0.5, 14), seed=5)
+    cfg = write_config(
+        tmp_path,
+        {"spec": {"chaos": F.to_json_dict()}, "mc": {"n": 40_000, "seed": 3}, "route": "malliavin-general"},
+    )
+    outs = [tmp_path / "w1", tmp_path / "w2"]
+    for out, workers in zip(outs, ("1", "2")):
+        assert main(["bound", "--config", cfg, "--out", str(out), "--workers", workers]) == 0
+        summary, _ = last_json_line(capsys)
+        assert all(summary["domination_ok"].values())
+    for name in ("bound_report.json", "bound_summary.csv", "manifest.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_bound_general_route(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -277,6 +318,16 @@ def test_stein_overflow_is_a_numerical_error(tmp_path, capsys):
     err, _ = last_json_line(capsys)
     assert code == 2
     assert err["error"]["type"] == "numerical"
+
+
+def test_stein_overflow_names_the_function_and_the_point(tmp_path, capsys):
+    code = main(["stein", "--alpha", "200", "--k", "0", "--x", "100", "--out", str(tmp_path)])
+    err, _ = last_json_line(capsys)
+    assert code == 2
+    assert err["error"]["message"] == (
+        "stein solve (exact) overflowed in _ewpi_series at alpha = 200.0, k = 0, x = 100.0, "
+        "y = -50.0: math range error"
+    )
 
 
 def test_stein_requires_alpha_and_x(tmp_path, capsys):

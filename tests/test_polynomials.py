@@ -42,6 +42,19 @@ def test_hermite_table_consistent_with_single_evaluations():
         assert np.allclose(table[..., n], hermite_value(n, z), atol=1e-10)
 
 
+def test_hermite_table_rows_are_contiguous_and_shapes_kept():
+    z = np.random.default_rng(32).normal(size=(6, 4))
+    table = hermite_table(z, 5)
+    assert table.shape == (6, 4, 6)
+    for v in range(4):
+        for a in range(6):
+            assert table[:, v, a].flags.c_contiguous
+    assert hermite_table(np.float64(0.3), 4).shape == (5,)
+    assert hermite_table(z[:, 0], 4).shape == (6, 5)
+    assert np.array_equal(hermite_table(z[:, 0], 4), table[:, 0, :5])
+    assert isinstance(hermite_value(4, 0.3), float)
+
+
 def test_hermite_orthogonality_by_quadrature():
     """E[He_n(Z) He_m(Z)] = n! delta_nm, integrated exactly by Gauss-Hermite."""
     nodes, weights = roots_hermitenorm(40)
