@@ -51,14 +51,10 @@ from .gamma import (
     DiffusionSpec,
     gamma_pdf,
     gamma_pdf_deriv,
-    gamma_poly_expectation,
-    laguerre_carre_du_champ,
     laguerre_diffusion,
-    laguerre_generator_apply,
     nu_weight,
     ornstein_uhlenbeck,
     representation_check,
-    rising_factorial,
 )
 from .mc import (
     McEstimate,
@@ -70,15 +66,13 @@ from .mc import (
     run_pass,
     substream,
 )
-from .polynomials import PolySpec, hermite_table, hermite_value, laguerre_value
+from .polynomials import hermite_table, hermite_value
 from .spectral import SecondChaosSpec, density_cf_oracle, second_chaos_eigenvalues
 from .stein import (
-    SteinDiscrepancy,
     SteinEnvelope,
     SteinSolution,
     envelope,
     solve,
-    stein_discrepancy,
     stein_rhs,
 )
 from .tensors import SymTensor, contract, contract_sym, symmetrize

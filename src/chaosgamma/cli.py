@@ -86,7 +86,7 @@ from .gamma import gamma_pdf_deriv
 from .mc import density_malliavin
 from .spectral import SecondChaosSpec
 from .stein import envelope, solve
-from .tensors import SymTensor, symmetrize
+from .tensors import symmetrize
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -703,8 +703,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(json.dumps({"error": {"type": "validation", "message": str(exc)}}))
         return EXIT_VALIDATION
-    except (OrderBudgetError, RuntimeError, FloatingPointError, OverflowError) as exc:
-        print(json.dumps({"error": {"type": "numerical", "message": str(exc)}}))
+    except (OrderBudgetError, RuntimeError, FloatingPointError, OverflowError, MemoryError) as exc:
+        # a bare MemoryError has no message
+        message = str(exc) or type(exc).__name__
+        print(json.dumps({"error": {"type": "numerical", "message": message}}))
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(json.dumps({"error": {"type": "refusal", "message": str(exc)}}))

@@ -1,5 +1,5 @@
 """Gamma(alpha) target: density derivatives, indicator representations,
-and the associated Laguerre generator calculus.
+and diffusions with known invariant laws.
 
 Everything here is about the unit-scale Gamma law with density
 x^(alpha-1) e^(-x) / Gamma(alpha) on (0, inf).  The k-th density derivative
@@ -8,14 +8,17 @@ admits both a closed form and an indicator representation
     p^(k)(x) = E[1_{G > x} nu_{k+1}(G)],   x > 0,
 
 where nu_k is a rational weight vanishing at the origin.  Both routes are
-implemented; tests hold them against each other.
+implemented; tests hold them against each other.  The Laguerre diffusion
+dX = (alpha - X) dt + sqrt(2 X) dW, whose generator is
+L f = x f'' + (alpha - x) f', has Gamma(alpha) as its invariant law; its
+density is recovered from indicator averages of the diffusion's score.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -25,18 +28,13 @@ from .mc import (
     run_chunked,
     standard_normals,
 )
-from .polynomials import PolySpec
 
 __all__ = [
     "gamma_pdf",
     "gamma_pdf_deriv",
     "nu_weight",
     "nu_coefficients",
-    "gamma_poly_expectation",
-    "rising_factorial",
     "signed_products",
-    "laguerre_generator_apply",
-    "laguerre_carre_du_champ",
     "DiffusionSpec",
     "ornstein_uhlenbeck",
     "laguerre_diffusion",
@@ -122,39 +120,6 @@ def nu_coefficients(alpha: float, k: int) -> list[float]:
     sign = (-1.0) ** (k - 1)
     prods = signed_products(alpha, k)
     return [sign * math.comb(k, i) * prods[i] for i in range(k + 1)]
-
-
-def rising_factorial(alpha: float, m: int) -> float:
-    """alpha (alpha+1) ... (alpha+m-1); equals E[G^m] for G ~ Gamma(alpha)."""
-    out = 1.0
-    for j in range(m):
-        out *= alpha + j
-    return out
-
-
-def gamma_poly_expectation(alpha: float, poly: "PolySpec | Sequence[float]") -> float:
-    """Exact E[poly(G)] for G ~ Gamma(alpha) via rising factorials."""
-    coeffs = poly.coeffs if isinstance(poly, PolySpec) else tuple(poly)
-    return math.fsum(c * rising_factorial(alpha, m) for m, c in enumerate(coeffs))
-
-
-# -- Laguerre generator calculus ---------------------------------------------------
-
-
-def laguerre_generator_apply(p: PolySpec, alpha: float) -> PolySpec:
-    """L p = x p'' + (alpha - x) p', the generator with Gamma(alpha) invariant law.
-
-    The Laguerre polynomials with parameter alpha - 1 are eigenfunctions:
-    L Q_n = -n Q_n.
-    """
-    d1 = p.derivative()
-    d2 = d1.derivative()
-    return d2.shift_mul_x() + d1.scale(alpha) - d1.shift_mul_x()
-
-
-def laguerre_carre_du_champ(p: PolySpec, q: PolySpec) -> PolySpec:
-    """Gamma(p, q) = x p' q' for the Laguerre generator."""
-    return (p.derivative() * q.derivative()).shift_mul_x()
 
 
 # -- diffusions with known invariant laws ------------------------------------------

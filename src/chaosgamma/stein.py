@@ -11,31 +11,29 @@ closed-form route built from incomplete-gamma identities and a termwise
 exponentially-weighted power-integral series, and a literal adaptive
 quadrature of the defining integral.  Both produce the solution and its
 derivative on a grid, plus explicit envelope coefficients assembled from
-the same integral estimates that prove the solution finite.
+the same integral estimates that prove the solution finite.  The threshold
+and input checks here (``_check_branch``, ``_check_alpha``) are the ones the
+density bounds run.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .chaos import ChaosVector, expectation, second_moment, wbar
+from .chaos import ChaosVector, expectation, second_moment
 from .gamma import gamma_pdf_deriv, nu_coefficients, signed_products
-from .mc import McEstimate, run_pass
-from .spectral import check_column, second_chaos_eigenvalues
 
 __all__ = [
     "SteinSolution",
     "SteinEnvelope",
-    "SteinDiscrepancy",
     "solve",
     "envelope",
     "stein_rhs",
-    "stein_discrepancy",
     "exp_weighted_power_integral",
 ]
 
@@ -564,74 +562,3 @@ def envelope(alpha: float, k: int, x: float) -> SteinEnvelope:
     if br == "negative":
         return _envelope_negative(alpha, k, x)
     return _envelope_origin(alpha, k)
-
-
-# -- comparison of laws through the Stein identity ----------------------------------
-
-
-@dataclass(frozen=True)
-class SteinDiscrepancy:
-    """Both sides of the pointwise Stein-method estimate at threshold x."""
-
-    alpha: float
-    k: int
-    x: float
-    lhs_estimate: McEstimate
-    eh_target: float
-    envelope_moment: McEstimate
-    l2_mismatch: float
-
-    @property
-    def lhs(self) -> float:
-        return abs(self.lhs_estimate.value - self.eh_target)
-
-    @property
-    def rhs(self) -> float:
-        return math.sqrt(max(self.envelope_moment.value, 0.0)) * self.l2_mismatch
-
-    def dominated(self, sigmas: float = 4.0) -> bool:
-        slack = sigmas * self.lhs_estimate.stderr
-        return self.lhs <= self.rhs + slack
-
-
-def stein_discrepancy(
-    F: ChaosVector,
-    alpha: float,
-    k: int,
-    x: float,
-    n: int,
-    seed: int,
-    workers: int = 1,
-) -> SteinDiscrepancy:
-    """Monte Carlo left side |E h(F+alpha) - E h(G)| against the product
-    bound sqrt(E env(F+alpha)^2) * E[(F+alpha - <DF, -DL^{-1}F>)^2]^{1/2},
-    with the quadratic mismatch computed exactly in the chaos engine.
-
-    Both Monte Carlo means come from one Gaussian pass at ``seed``.  When F
-    is pure second chaos the envelope-moment existence is prechecked on its
-    spectrum: the squared envelope contains |F+alpha|^(-2p) terms, and
-    ``spectral.check_column`` must certify the worst of them; its variance
-    flag, if any, is on ``envelope_moment``.
-    """
-    _check_branch(alpha, k, x)
-    _check_alpha(F, alpha)
-    env = envelope(alpha, k, x)
-    zeta = second_chaos_eigenvalues(F)
-    worst = -2.0 * min(p for p, _ in env.terms)
-    flag = check_column(zeta, alpha, 0.0, worst, f"the envelope moment E[(F+alpha)^-{worst:g}]")
-    eh = float(gamma_pdf_deriv(alpha, k, x))
-
-    mismatch = (F + alpha) - wbar(F)
-    l2 = math.sqrt(max(second_moment(mismatch), 0.0))
-    rhs = _scalar_rhs(alpha, k, x, 0.0)
-
-    def h(vals):
-        return np.array([rhs(y) for y in (vals["F"] + alpha).tolist()]), 0
-
-    def env_sq(vals):
-        return env.bound(vals["F"] + alpha) ** 2, 0
-
-    ests = run_pass({"F": F}, {"h": h, "env": env_sq}, n, seed, workers)
-    if flag is not None:
-        ests["env"] = replace(ests["env"], flags=ests["env"].flags + (flag,))
-    return SteinDiscrepancy(alpha, k, float(x), ests["h"], eh, ests["env"], l2)

@@ -330,6 +330,27 @@ def test_stein_overflow_names_the_function_and_the_point(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "command,doc,flags",
+    [
+        ("stein", {"alpha": 4, "k": 1, "x": 2, "grid": {"points": 10**15}}, []),
+        ("density", {**TIGHT, "xs": [3.0]}, ["--n", str(10**18)]),
+    ],
+    ids=["stein-grid", "density-n"],
+)
+def test_an_allocation_beyond_memory_exits_two_with_the_error_json(
+    tmp_path, capsys, command, doc, flags
+):
+    """Both sizes are far past the address space, so the allocation is
+    refused at once and nothing is touched."""
+    cfg = write_config(tmp_path, doc)
+    code = main([command, "--config", cfg, "--out", str(tmp_path), *flags])
+    err, _ = last_json_line(capsys)
+    assert code == 2
+    assert err["error"]["type"] == "numerical"
+    assert err["error"]["message"]
+
+
 def test_stein_requires_alpha_and_x(tmp_path, capsys):
     code = main(["stein", "--out", str(tmp_path)])
     err, _ = last_json_line(capsys)

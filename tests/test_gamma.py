@@ -7,24 +7,18 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import poch, roots_genlaguerre
 
 from chaosgamma.gamma import (
     DiffusionSpec,
     diffusion_density_estimate,
     gamma_pdf,
     gamma_pdf_deriv,
-    gamma_poly_expectation,
-    laguerre_carre_du_champ,
     laguerre_diffusion,
-    laguerre_generator_apply,
     nu_coefficients,
     nu_weight,
     ornstein_uhlenbeck,
     representation_check,
-    rising_factorial,
 )
-from chaosgamma.polynomials import PolySpec
 
 
 def test_gamma_pdf_reference_values():
@@ -132,46 +126,6 @@ def test_nu_weight_recursion():
         y = 1.7
         val = sum(c * y ** (-i) for i, c in enumerate(coeff_vec(k + 1, L)))
         assert nu_weight(alpha, k + 1, y) == pytest.approx(val, rel=1e-12)
-
-
-def test_rising_factorial_against_pochhammer():
-    for alpha in (0.5, 2.0, 6.3):
-        for m in range(6):
-            assert rising_factorial(alpha, m) == pytest.approx(float(poch(alpha, m)), rel=1e-12)
-
-
-def test_gamma_poly_expectation_by_quadrature():
-    alpha = 3.2
-    p = PolySpec((1.0, -2.0, 0.5, 0.25))
-    nodes, weights = roots_genlaguerre(30, alpha - 1.0)
-    want = float(np.sum(weights * p(nodes))) / math.gamma(alpha)
-    assert gamma_poly_expectation(alpha, p) == pytest.approx(want, rel=1e-10)
-
-
-def test_laguerre_generator_eigenfunctions():
-    """L Q_n = -n Q_n as exact polynomial identities."""
-    alpha = 2.7
-    for n in range(11):
-        Q = PolySpec.laguerre(n, alpha)
-        LQ = laguerre_generator_apply(Q, alpha)
-        diff = LQ + Q.scale(float(n))
-        assert max(abs(c) for c in diff.coeffs) <= 1e-8 * max(
-            1.0, max(abs(c) for c in Q.coeffs)
-        )
-    const = PolySpec((4.0,))
-    assert laguerre_generator_apply(const, alpha).coeffs == (0.0,)
-
-
-def test_laguerre_integration_by_parts():
-    """E[G . LF] = -E[x F' G'] under the Gamma(alpha) law."""
-    alpha = 3.8
-    F = PolySpec((0.5, 1.0, -0.75, 0.2))
-    G = PolySpec((1.0, -0.3, 0.4))
-    LF = laguerre_generator_apply(F, alpha)
-    lhs = gamma_poly_expectation(alpha, G * LF)
-    carre = laguerre_carre_du_champ(F, G)
-    rhs = -gamma_poly_expectation(alpha, carre)
-    assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
 # -- indicator representation of density derivatives --------------------------------

@@ -1,4 +1,4 @@
-"""Hermite and Laguerre evaluation, orthogonality, and the PolySpec helper."""
+"""Hermite evaluation, table layout and orthogonality."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_hermitenorm
 
-from chaosgamma.polynomials import PolySpec, hermite_table, hermite_value, laguerre_value
+from chaosgamma.polynomials import hermite_table, hermite_value
 
 EXPLICIT_HERMITE = {
     0: lambda x: np.ones_like(x),
@@ -69,46 +69,3 @@ def test_hermite_orthogonality_by_quadrature():
 def test_hermite_rejects_negative_degree():
     with pytest.raises(ValueError):
         hermite_value(-1, 0.0)
-
-
-def test_laguerre_matches_polynomial_construction():
-    x = np.linspace(0.05, 12.0, 25)
-    for alpha in (0.7, 1.0, 2.5):
-        for n in range(8):
-            p = PolySpec.laguerre(n, alpha)
-            assert np.allclose(laguerre_value(n, alpha, x), p(x), atol=1e-9)
-
-
-def test_laguerre_orthogonality_under_gamma_weight():
-    from scipy.special import roots_genlaguerre
-
-    alpha = 2.5
-    nodes, weights = roots_genlaguerre(40, alpha - 1.0)
-    weights = weights / math.gamma(alpha)
-    for n in range(6):
-        for m in range(6):
-            val = float(
-                np.sum(weights * laguerre_value(n, alpha, nodes) * laguerre_value(m, alpha, nodes))
-            )
-            if n != m:
-                assert val == pytest.approx(0.0, abs=1e-8)
-            else:
-                assert val > 0
-
-
-def test_polyspec_arithmetic():
-    p = PolySpec((1.0, 2.0, 3.0))  # 1 + 2x + 3x^2
-    q = PolySpec((0.0, 1.0))  # x
-    assert (p * q).coeffs == (0.0, 1.0, 2.0, 3.0)
-    assert p.derivative().coeffs == (2.0, 6.0)
-    assert p.shift_mul_x().coeffs == (0.0, 1.0, 2.0, 3.0)
-    assert (p - p).coeffs == (0.0,)
-    assert p.degree == 2
-    assert p(2.0) == pytest.approx(17.0)
-
-
-def test_polyspec_normalizes_trailing_zeros():
-    p = PolySpec((1.0, 0.0, 0.0))
-    assert p.coeffs == (1.0,)
-    assert p.degree == 0
-    assert PolySpec((0.0,)).derivative().coeffs == (0.0,)

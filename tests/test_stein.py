@@ -1,4 +1,4 @@
-"""Stein equation solutions, residuals, envelopes, and the discrepancy bound."""
+"""Stein equation solutions, residuals and envelopes."""
 
 from __future__ import annotations
 
@@ -9,10 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from chaosgamma.chaos import ChaosVector
 from chaosgamma.gamma import gamma_pdf_deriv, nu_weight
-from chaosgamma.mc import SecondChaosSpec
-from chaosgamma.tensors import symmetrize
 import chaosgamma.gamma as gamma_module
 import chaosgamma.stein as stein_module
 from chaosgamma.stein import (
@@ -20,7 +17,6 @@ from chaosgamma.stein import (
     envelope,
     exp_weighted_power_integral,
     solve,
-    stein_discrepancy,
     stein_rhs,
 )
 
@@ -203,46 +199,3 @@ def test_exp_weighted_power_integral_validation():
     with pytest.raises(ValueError):
         exp_weighted_power_integral(-1.0, 0.0, 1.0)
     assert exp_weighted_power_integral(2.0, 1.0, 1.0) == 0.0
-
-
-# -- full discrepancy on a second-chaos element --------------------------------------
-
-
-def test_stein_discrepancy_dominated_for_second_chaos():
-    zeta = [0.55] + [0.5] * 11
-    spec = SecondChaosSpec(zeta=tuple(zeta), alpha=float(2 * sum(z * z for z in zeta)))
-    F = ChaosVector.second_chaos_diagonal(zeta)
-    disc = stein_discrepancy(F, spec.alpha, 0, spec.alpha, n=60_000, seed=19)
-    assert disc.rhs >= 0
-    assert disc.dominated(sigmas=4.0)
-
-
-def test_stein_discrepancy_refuses_thin_spectrum():
-    zeta = [0.5] * 3
-    spec = SecondChaosSpec(zeta=tuple(zeta), alpha=float(2 * sum(z * z for z in zeta)))
-    F = ChaosVector.second_chaos_diagonal(zeta)
-    with pytest.raises(ValueError):
-        stein_discrepancy(F, spec.alpha, 1, spec.alpha, n=1000, seed=20)
-
-
-def test_stein_discrepancy_flags_an_envelope_column_of_infinite_variance():
-    """At x = 0 the squared envelope needs E[(F+alpha)^-4], finite for ten
-    eigenvalues at shift gap 0, but its variance needs E[(F+alpha)^-8],
-    which is not."""
-    F = ChaosVector.second_chaos_diagonal([0.5] * 10)
-    disc = stein_discrepancy(F, 5.0, 0, 0.0, n=20_000, seed=23)
-    assert "infinite_variance" in disc.envelope_moment.flags
-
-
-def test_stein_discrepancy_prechecks_the_spectrum_of_f():
-    """The precheck reads the spectrum of F itself: a thin zero-gap spectrum
-    given as a rotated dense kernel is refused, while a thin spectrum with a
-    positive shift gap keeps every E[(F+alpha)^-p] finite and runs."""
-    rng = np.random.default_rng(21)
-    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    F = ChaosVector.from_kernel(symmetrize(rot @ np.diag([0.5] * 3) @ rot.T))
-    with pytest.raises(ValueError, match="not finite"):
-        stein_discrepancy(F, 1.5, 1, 1.5, n=1000, seed=21)
-    G = ChaosVector.second_chaos_diagonal([0.55] * 4)  # alpha 2.42, gap 0.22
-    disc = stein_discrepancy(G, 2.42, 1, 2.42, n=2000, seed=22)
-    assert math.isfinite(disc.lhs) and disc.envelope_moment.n == 2000
