@@ -726,9 +726,12 @@ def _assemble_bound(
     envelope coeff * |y|^power giving the L^2 term
     (coeff, 2, {E[(F+a)^(2 power)]}), or coeff alone at power 0.
 
-    A defect factor of exactly 0 means F + alpha is Gamma(alpha) (the
-    fourth-moment characterisation of Nourdin & Peccati 2009): the bound is
-    0 with no prefactor, and the pass holds only the density columns.
+    A defect factor of exactly 0 at alpha = E[F^2] exactly means F + alpha
+    is Gamma(alpha) (the fourth-moment characterisation of Nourdin & Peccati
+    2009): the bound is 0 with no prefactor, and the pass holds only the
+    density columns.  At any other alpha, even one inside the tolerance of
+    the alpha check, F + alpha is not Gamma(alpha), so a zero factor is a
+    ValueError naming the mismatch.
     Otherwise every label a term reads is one request, in order of first
     use.  A single factor E[(F+alpha)^e], e >= 0, takes its exact route from
     ``shifted_positive_moment`` when there is one; every other request is a
@@ -747,6 +750,12 @@ def _assemble_bound(
         for x in pts
     }
     if factor == 0.0:
+        m2 = second_moment(F)
+        if alpha != m2:
+            raise ValueError(
+                f"the defect factor is 0, which makes F + alpha Gamma(alpha) only at alpha = "
+                f"E[F^2] = {m2!r}, but alpha = {alpha!r}; a bound 0 would not hold"
+            )
         flags.append("zero_defect_shortcut")
         vectors, weights, terms = {}, [], {}
     requests: dict[str, tuple] = {}
@@ -826,8 +835,9 @@ def assemble_density_bound(
     C1(q) E[||DF||^-6]^(1/2).  Negative moments are estimated by Monte
     Carlo; positive moments go through exact routes whenever one exists.
 
-    A zero fourth-moment combo gives the bound 0 with no gradient-weight
-    column.  Otherwise second-chaos inputs are refused when the spectrum
+    A fourth-moment combo <= 0 gives the bound 0 with no gradient-weight
+    column at alpha = E[F^2] exactly, and a ValueError at any other alpha.
+    Otherwise second-chaos inputs are refused when the spectrum
     cannot support a Monte Carlo column E[||DF||^-2a (F+alpha)^-b]: a
     negative eigenvalue or shift gap alpha - sum zeta_i, or m positive
     eigenvalues too few for ``spectral.negative_moment_exists`` (the
@@ -886,7 +896,8 @@ def assemble_general_bound(
     The s = 4 case is assembled with the same unit constant but flagged:
     that endpoint's constant is not certified.
 
-    A zero defect moment gives the bound 0 with no gradient-weight column.
+    A zero defect moment gives the bound 0 with no gradient-weight column
+    at alpha = E[F^2] exactly, and a ValueError at any other alpha.
     Otherwise pure second-chaos inputs are refused when the spectrum cannot
     support a Monte Carlo column E[wbar^-a (F+alpha)^-b]: a negative
     eigenvalue or shift gap, or m positive eigenvalues too few for

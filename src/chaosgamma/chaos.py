@@ -61,6 +61,8 @@ __all__ = [
     "wbar",
     "needed_degree",
     "evaluate",
+    "quadratic_form",
+    "evaluate_quadratic",
     "eval_jet",
     "JetValue",
 ]
@@ -439,6 +441,35 @@ def evaluate(F: ChaosVector, Z: np.ndarray, table: np.ndarray | None = None) -> 
             for v, a in rest:
                 term *= table[:, v, a]
             out += term
+    return out
+
+
+def quadratic_form(
+    F: ChaosVector,
+) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """(c - tr A, b, A) with F = c - tr A + b.z + z^T A z, for F of chaos
+    order <= 2.
+
+    b is the order-1 kernel and A the full symmetric order-2 kernel: since
+    He_2(z) = z^2 - 1 and an off-diagonal entry counts both of its orderings,
+    I_2(f)(z) = z^T A z - tr A.  An absent kernel gives None.
+    """
+    if F.top_order > 2:
+        raise ValueError(f"chaos order {F.top_order} is not a quadratic form")
+    b, A = (F.kernels[n].to_dense() if n in F.kernels else None for n in (1, 2))
+    return F.constant - (0.0 if A is None else float(np.trace(A))), b, A
+
+
+def evaluate_quadratic(form: tuple, Z: np.ndarray) -> np.ndarray:
+    """c0 + z^T A z + b.z on each sample row z of Z for ``form`` = (c0, b, A)
+    of ``quadratic_form``: two matrix products and a row-wise dot, with no
+    Hermite table."""
+    c0, b, A = form
+    out = np.full(Z.shape[0], c0)
+    if A is not None:
+        out += np.einsum("ij,ij->i", Z @ A, Z)
+    if b is not None:
+        out += Z @ b
     return out
 
 

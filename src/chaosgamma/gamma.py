@@ -53,14 +53,12 @@ def signed_products(alpha: float, k: int) -> list[float]:
 
 def gamma_pdf(alpha: float, x: "float | np.ndarray") -> "float | np.ndarray":
     """Density of Gamma(alpha, 1); zero on the closed negative axis."""
-    from scipy.special import gammaln
-
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     x = np.asarray(x, dtype=float)
     pos = x > 0
     safe = np.where(pos, x, 1.0)
-    val = np.exp((alpha - 1.0) * np.log(safe) - safe - gammaln(alpha))
+    val = np.exp((alpha - 1.0) * np.log(safe) - safe - math.lgamma(alpha))
     out = np.where(pos, val, 0.0)
     return float(out) if out.ndim == 0 else out
 
@@ -72,8 +70,6 @@ def gamma_pdf_deriv(alpha: float, k: int, x: "float | np.ndarray") -> "float | n
     (and equals 0) only when alpha > k + 1; otherwise a ValueError explains
     the refusal.
     """
-    from scipy.special import gammaln
-
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if k < 0:
@@ -90,7 +86,7 @@ def gamma_pdf_deriv(alpha: float, k: int, x: "float | np.ndarray") -> "float | n
     bracket = np.zeros_like(safe)
     for i in range(k + 1):
         bracket += math.comb(k, i) * prods[i] * safe ** (-i)
-    val = (-1.0) ** k * np.exp((alpha - 1.0) * np.log(safe) - safe - gammaln(alpha)) * bracket
+    val = (-1.0) ** k * np.exp((alpha - 1.0) * np.log(safe) - safe - math.lgamma(alpha)) * bracket
     out = np.where(pos, val, 0.0)
     return float(out) if out.ndim == 0 else out
 

@@ -4,8 +4,11 @@ Reproducibility contract: sampling is partitioned into fixed-size chunks and
 chunk i draws from a counter-based Philox stream keyed by (master seed, i).
 Per-chunk reductions are folded in chunk order with compensated summation, so
 an estimate depends only on (seed, n), with the chunk size fixed at
-``CHUNK_SIZE``, and is bit-identical for any worker count.  Normal and Gamma
-variates come from inverse CDFs, keeping the draw count per chunk fixed.
+``CHUNK_SIZE``, and is bit-identical for any worker count.  Normal variates
+come from numpy's ziggurat and Gamma variates from the inverse CDF; the
+ziggurat's draw count per chunk varies, which is harmless because no chunk
+reads another's substream.  numpy promises no ``Generator`` stream across
+its versions (NEP 19), so the manifest records the numpy version.
 """
 
 from __future__ import annotations
@@ -22,9 +25,11 @@ from .chaos import (
     ChaosVector,
     carre_du_champ,
     evaluate,
+    evaluate_quadratic,
     generator,
     gradient_norm_sq,
     needed_degree,
+    quadratic_form,
 )
 from .polynomials import hermite_table
 from .spectral import SecondChaosSpec, density_cf_oracle  # re-exported
@@ -67,11 +72,8 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
 
 def standard_normals(gen: np.random.Generator, shape) -> np.ndarray:
-    """N(0,1) variates by inverse CDF (deterministic draw count)."""
-    from scipy.special import ndtri
-
-    u = gen.random(shape)
-    return ndtri(np.clip(u, _U_LO, _U_HI))
+    """N(0,1) variates by numpy's ziggurat (Marsaglia & Tsang 2000) on ``gen``."""
+    return gen.standard_normal(shape)
 
 
 def gamma_variates(gen: np.random.Generator, alpha: float, size: int) -> np.ndarray:
@@ -246,19 +248,31 @@ def run_pass(
 ) -> dict[str, McEstimate]:
     """Means of named columns over one Gaussian pass, keyed like ``columns``.
 
-    Each chunk draws its Gaussian rows once, builds one Hermite table and
-    evaluates each of ``vectors`` once into a dict of arrays under the same
-    names.  The columns run in order on that dict, so a column may store a
-    derived array in it for the ones after it.
+    Each chunk draws its Gaussian rows Z once and evaluates each of
+    ``vectors`` once into a dict of arrays under the same names.  When every
+    vector has chaos order <= 2, each is the quadratic form of
+    ``chaos.quadratic_form``, c - tr A + b.Z + Z^T A Z, computed by matrix
+    products with no Hermite table; otherwise the chunk builds one Hermite
+    table and runs ``chaos.evaluate`` on it.  The columns run in order on
+    that dict, so a column may store a derived array in it for the ones
+    after it.
     """
     names, fns = list(columns), list(columns.values())
     dim = next(iter(vectors.values())).dim
-    deg = needed_degree(vectors.values())
+    if max(vec.top_order for vec in vectors.values()) <= 2:
+        forms = {name: quadratic_form(vec) for name, vec in vectors.items()}
+
+        def values(Z: np.ndarray) -> dict[str, np.ndarray]:
+            return {name: evaluate_quadratic(form, Z) for name, form in forms.items()}
+    else:
+        deg = needed_degree(vectors.values())
+
+        def values(Z: np.ndarray) -> dict[str, np.ndarray]:
+            table = hermite_table(Z, deg)
+            return {name: evaluate(vec, Z, table) for name, vec in vectors.items()}
 
     def sample_chunk(gen: np.random.Generator, m: int):
-        Z = standard_normals(gen, (m, dim))
-        table = hermite_table(Z, deg)
-        vals = {name: evaluate(vec, Z, table) for name, vec in vectors.items()}
+        vals = values(standard_normals(gen, (m, dim)))
         out = np.empty((m, len(fns)))
         rejected = np.empty(len(fns), dtype=np.int64)
         for j, fn in enumerate(fns):

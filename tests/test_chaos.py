@@ -27,6 +27,7 @@ from chaosgamma.chaos import (
     divergence,
     eval_jet,
     evaluate,
+    evaluate_quadratic,
     expectation,
     generator,
     generator_inverse,
@@ -35,6 +36,7 @@ from chaosgamma.chaos import (
     moment,
     multiply,
     needed_degree,
+    quadratic_form,
     second_moment,
 )
 from chaosgamma.multiindex import as_multi_index, permutation_count
@@ -452,3 +454,38 @@ def test_evaluate_matches_the_reference_bit_for_bit(data):
         assert np.array_equal(evaluate(F, Z, hermite_table(Z, deg)), ref)
     const = ChaosVector(d, F.constant)
     assert np.array_equal(evaluate(const, rows), np.full(len(rows), F.constant))
+
+
+# -- quadratic forms ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "case", ["diagonal", "dense", "dense with order 1", "diagonal with a constant", "full"]
+)
+def test_quadratic_form_matches_evaluate(case):
+    """On order <= 2, c - tr A + b.z + z^T A z equals the Hermite evaluation
+    to 1e-12 relative, with A the full symmetric order-2 kernel."""
+    rng = np.random.default_rng(RNG_SEED + 7)
+    d = 7
+    F = {
+        "diagonal": ChaosVector.second_chaos_diagonal(rng.uniform(-1.0, 1.0, d)),
+        "dense": random_vector(rng, d, [2]),
+        "dense with order 1": random_vector(rng, d, [1, 2]),
+        "diagonal with a constant": ChaosVector.second_chaos_diagonal(rng.uniform(0.1, 1.0, d)) + 2.5,
+        "full": random_vector(rng, d, [1, 2], constant=-1.25),
+    }[case]
+    Z = rng.normal(size=(500, d))
+    ref = evaluate(F, Z)
+    got = evaluate_quadratic(quadratic_form(F), Z)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_quadratic_form_of_lower_orders_and_refusal():
+    b = ChaosVector.gaussian([0.5, 0.0, -2.0])
+    c0, lin, A = quadratic_form(b + 3.0)
+    assert c0 == 3.0 and A is None and lin.tolist() == [0.5, 0.0, -2.0]
+    assert quadratic_form(ChaosVector(3, -1.5)) == (-1.5, None, None)
+    Z = np.array([[1.0, 2.0, 3.0], [0.0, -1.0, 0.5]])
+    assert np.array_equal(evaluate_quadratic(quadratic_form(ChaosVector(3, -1.5)), Z), [-1.5, -1.5])
+    with pytest.raises(ValueError, match="order 3"):
+        quadratic_form(random_vector(np.random.default_rng(1), 3, [3]))

@@ -32,11 +32,16 @@ def last_json_line(capsys):
     return json.loads(out[-1]), out
 
 
-def fresh_python(cwd, *args):
+def fresh_python(cwd, *args, env_update=None):
     """Run ``python ARGS`` in a new interpreter that imports this package:
-    its own warning filters, its own sys.modules."""
+    its own warning filters, its own sys.modules.  ``env_update`` sets
+    environment variables, and removes those it maps to None."""
     src = str(Path(chaosgamma.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
+    for key, value in (env_update or {}).items():
+        env.pop(key, None)
+        if value is not None:
+            env[key] = value
     return subprocess.run(
         [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
     )
@@ -105,6 +110,32 @@ def test_moments_command_loads_no_scipy_special(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False"
     assert (tmp_path / "out" / "moments.json").exists()
+
+
+README_SPEC = {"zeta": [0.55, 0.55] + [0.5] * 10, "alpha": 6.21}
+
+
+@pytest.mark.parametrize("route", ["chaos-moment", "malliavin-general"])
+def test_bound_command_loads_no_scipy_special_or_integrate(tmp_path, route):
+    """The bound path samples with the ziggurat, evaluates second chaos as
+    quadratic forms and takes log Gamma from ``math``: on the README spec
+    and on a dense second-chaos kernel it needs no ``scipy.special`` or
+    ``scipy.integrate``."""
+    if route == "chaos-moment":
+        spec = README_SPEC
+    else:
+        F = haar_rotated_second_chaos(np.linspace(0.6, 0.5, 14), seed=5)
+        spec = {"chaos": F.to_json_dict()}
+    cfg = write_config(tmp_path, {"spec": spec, "route": route})
+    script = (
+        "import sys; from chaosgamma.cli import main; "
+        f"code = main(['bound', '--config', {cfg!r}, '--n', '2000', '--out', 'out']); "
+        "print(code, 'scipy.special' in sys.modules, 'scipy.integrate' in sys.modules)"
+    )
+    proc = fresh_python(tmp_path, "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False False"
+    assert (tmp_path / "out" / "bound_report.json").exists()
 
 
 def test_moments_refuses_odd_order(tmp_path, capsys):
@@ -180,7 +211,7 @@ def test_bound_that_overflows_warns_nothing(tmp_path, capsys):
     assert err["error"] == {
         "type": "numerical",
         "message": "the bound at x = 41.005 is not finite: its term with coefficient "
-        "7.50291e-133 is inf (it reads E[(F+a)^154.02] = inf)",
+        "9.61788e-135 is inf (it reads E[(F+a)^156.02] = inf)",
     }
 
 
@@ -193,6 +224,48 @@ def haar_rotated_second_chaos(zeta, seed):
     A = Q @ np.diag(zeta) @ Q.T
     entries = {(i, j): A[i, j] for i in range(d) for j in range(i, d)}
     return ChaosVector(d, 0.0, {2: SymTensor(2, d, entries)})
+
+
+def test_dense_second_chaos_bound_does_not_depend_on_blas_threads(tmp_path):
+    """The quadratic forms go through BLAS matrix products; a bound report
+    is the same bytes with one OpenBLAS thread and with the default."""
+    F = haar_rotated_second_chaos(np.linspace(0.6, 0.5, 14), seed=7)
+    cfg = write_config(
+        tmp_path,
+        {"spec": {"chaos": F.to_json_dict()}, "mc": {"n": 40_000, "seed": 9}, "route": "malliavin-general"},
+    )
+    reports = []
+    for threads in ("1", None):
+        out = tmp_path / f"out-{threads}"
+        args = ["-m", "chaosgamma.cli", "bound", "--config", cfg, "--out", str(out)]
+        proc = fresh_python(tmp_path, *args, env_update={"OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        reports.append((out / "bound_report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "route, alpha, names",
+    [
+        ("chaos-moment", 6.0000000006, "E[F^2] = 6.0, but alpha = 6.0000000006"),
+        ("chaos-moment", 5.9999999994, "the shift gap alpha - sum(zeta)"),
+        ("malliavin-general", 6.0000000006, "E[F^2] = 6.0, but alpha = 6.0000000006"),
+        ("malliavin-general", 5.9999999994, "E[F^2] = 6.0, but alpha = 5.9999999994"),
+    ],
+)
+def test_zero_defect_at_an_alpha_off_the_second_moment_is_refused(tmp_path, capsys, route, alpha, names):
+    """On [0.5] * 12 the defect factor is 0 at alpha = E[F^2] = 6 only.  An
+    alpha 1e-10 off on either side passes the alpha tolerance, yet F + alpha
+    is not Gamma(alpha): no bound 0 is certified; the refusal names the
+    mismatch (below 6 the chaos-moment route meets the negative shift gap
+    first)."""
+    cfg = write_config(tmp_path, {"spec": {"zeta": [0.5] * 12, "alpha": alpha}, "route": route})
+    code = main(["bound", "--config", cfg, "--n", "2000", "--out", str(tmp_path / "out")])
+    err, _ = last_json_line(capsys)
+    assert code == 3
+    assert err["error"]["type"] == "refusal"
+    assert names in err["error"]["message"]
+    assert not (tmp_path / "out" / "bound_report.json").exists()
 
 
 def test_dense_second_chaos_bound_is_worker_invariant(tmp_path, capsys):

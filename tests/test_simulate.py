@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from chaosgamma.bounds import even_chaos_moments
-from chaosgamma.chaos import ChaosVector, evaluate, gradient_norm_sq, moment, second_moment
+from chaosgamma.chaos import (
+    ChaosVector,
+    evaluate,
+    gradient_norm_sq,
+    moment,
+    needed_degree,
+    second_moment,
+)
 from chaosgamma.gamma import gamma_pdf
 from chaosgamma.mc import (
     CHUNK_SIZE,
@@ -22,8 +29,11 @@ from chaosgamma.mc import (
     run_chunked,
     run_chunked_multi,
     run_pass,
+    standard_normals,
     substream,
 )
+from chaosgamma.polynomials import hermite_table
+from chaosgamma.tensors import SymTensor, symmetrize
 
 TIGHT_ZETA = tuple([0.5] * 12)  # F + 6 is exactly Gamma(6)
 
@@ -354,3 +364,53 @@ def test_density_malliavin_worker_invariance():
     assert a.value == b.value
     assert a.stderr == b.stderr
     assert a.to_json_dict() == b.to_json_dict()
+
+
+# -- pass evaluation ----------------------------------------------------------------
+
+
+def dense_second_chaos(d, seed):
+    """A constant, a Gaussian part and a dense order-2 kernel on R^d."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(d, d)) * 0.3
+    A = 0.5 * (A + A.T)
+    entries = {(i, j): A[i, j] for i in range(d) for j in range(i, d)}
+    return ChaosVector(d, 0.4, {2: SymTensor(2, d, entries)}) + ChaosVector.gaussian(
+        rng.normal(size=d) * 0.2
+    )
+
+
+def value_columns(names):
+    return {name: (lambda vals, name=name: (vals[name], 0)) for name in names}
+
+
+def test_pass_with_an_order_four_vector_keeps_the_hermite_bits():
+    """One vector of order 4 sends the whole pass, its order-2 vectors too,
+    through ``hermite_table`` and ``evaluate``, bit for bit."""
+    d = 4
+    G = dense_second_chaos(d, 41)
+    H = ChaosVector.from_kernel(symmetrize(np.random.default_rng(42).normal(size=(d,) * 4) * 0.2))
+    vectors = {"G": G, "H": H}
+    deg = needed_degree(vectors.values())
+
+    def by_hand(gen, m):
+        Z = standard_normals(gen, (m, d))
+        table = hermite_table(Z, deg)
+        return np.stack([evaluate(G, Z, table), evaluate(H, Z, table)], axis=1), np.zeros(2)
+
+    n = CHUNK_SIZE + 777
+    ests = run_pass(vectors, value_columns(vectors), n, seed=43)
+    assert list(ests.values()) == run_chunked_multi(by_hand, n, seed=43, n_columns=2)
+
+
+def test_dense_second_chaos_pass_is_worker_invariant():
+    F = dense_second_chaos(10, 44)
+    vectors = {"F": F, "w": gradient_norm_sq(F)}
+    cols = {**value_columns(vectors), "w^-1": power_column(("w", 0.0, -1.0))}
+    n = 2 * CHUNK_SIZE + 4321
+    one = run_pass(vectors, cols, n, seed=45, workers=1)
+    two = run_pass(vectors, cols, n, seed=45, workers=2)
+    assert {k: e.to_json_dict() for k, e in one.items()} == {
+        k: e.to_json_dict() for k, e in two.items()
+    }
+    assert one["F"].within(F.constant) and one["w"].within(gradient_norm_sq(F).constant)
