@@ -7,19 +7,20 @@ The ODE is
 where h(y) = 1_{y > x} nu_{k+1}(y) for a positive threshold x (with the
 indicator flipped to 1_{y <= x} for x < 0 and to 1_{y < 0} for x = 0, the
 latter requiring alpha > k + 1).  Two evaluation routes are provided: a
-closed-form route built from incomplete-gamma identities and a termwise
-exponentially-weighted power-integral series, and a literal adaptive
-quadrature of the defining integral.  Both produce the solution and its
-derivative on a grid, plus explicit envelope coefficients assembled from
-the same integral estimates that prove the solution finite.  The threshold
-and input checks here (``_check_branch``, ``_check_alpha``) are the ones the
-density bounds run.
+closed-form route built from incomplete-gamma identities (scipy.special)
+and a termwise exponentially-weighted power-integral series, and a literal
+quadrature of the defining integral by one adaptive G7/K15 Gauss-Kronrod
+rule in numpy that bisects every grid point's intervals at once.  Both
+produce the solution and its derivative on a grid, plus explicit envelope
+coefficients assembled from the same integral estimates that prove the
+solution finite.  The threshold and input checks here (``_check_branch``,
+``_check_alpha``) are the ones the density bounds run.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,8 +40,6 @@ __all__ = [
 
 _SERIES_EPS = 1e-17
 _LARGE_Y = 400.0
-# absolute tolerance of every adaptive quadrature in the "quad" solve
-_EPSABS = 1e-12
 _ALPHA_TOL = 1e-9  # relative, of E[F^2] = alpha
 
 
@@ -77,31 +76,29 @@ def _check_alpha(F: ChaosVector, alpha: float) -> None:
 
 def stein_rhs(alpha: float, k: int, x: float, y: "float | np.ndarray") -> "float | np.ndarray":
     """h(y) - E[h(G)] for the branch selected by the sign of x: the solve's
-    ``_scalar_rhs`` applied to each element of y."""
+    ``_rhs`` applied to y."""
     _check_branch(alpha, k, x)
-    rhs = _scalar_rhs(alpha, k, x, float(gamma_pdf_deriv(alpha, k, x)))
-    y = np.asarray(y, dtype=float)
-    out = np.array([rhs(v) for v in y.ravel().tolist()]).reshape(y.shape)
+    out = _rhs(alpha, k, x, float(gamma_pdf_deriv(alpha, k, x)))(np.asarray(y, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
-def _scalar_rhs(alpha: float, k: int, x: float, eh: float):
-    """h(y) - eh on one float, eh standing for E[h(G)], with the nu_{k+1}
-    coefficients bound once: both solve routes call it per grid point and
-    the quadrature integrands per node.  This is the one definition of h."""
-    terms = tuple(enumerate(nu_coefficients(alpha, k + 1)))
+def _rhs(alpha: float, k: int, x: float, eh: float):
+    """h - eh on an array of y, eh standing for E[h(G)], with the nu_{k+1}
+    coefficients bound once: the exact route calls it on the grid and the
+    quadrature integrands on their node arrays.  This is the one definition
+    of h.  y = 0 lies outside every indicator set, so nu is never divided
+    there."""
+    coeffs = nu_coefficients(alpha, k + 1)
 
-    def nu(y):
-        acc = 0.0
-        for i, c in terms:
-            acc += c * y ** -i
-        return acc
+    def rhs(y: np.ndarray) -> np.ndarray:
+        inside = y > x if x > 0 else (y <= x if x < 0 else y < 0)
+        safe = np.where(inside, y, 1.0)
+        acc = np.zeros_like(safe)
+        for i, c in enumerate(coeffs):
+            acc += c * safe ** (-i)
+        return np.where(inside, acc, 0.0) - eh
 
-    if x > 0:
-        return lambda y: (nu(y) if y > x else 0.0) - eh
-    if x < 0:
-        return lambda y: (nu(y) if y <= x else 0.0) - eh
-    return lambda y: (nu(y) if y < 0 else 0.0) - eh
+    return rhs
 
 
 # -- exponentially weighted power integrals -----------------------------------------
@@ -244,9 +241,8 @@ class SteinSolution:
 
 
 def _solve_exact_point(
-    alpha: float, k: int, x: float, br: str, eh: float, rhs, y: float
+    alpha: float, k: int, x: float, br: str, eh: float, g_y: float, y: float
 ) -> tuple[float, float]:
-    g_y = rhs(y)
     if y < 0:
         t = -y
         if br == "positive":
@@ -274,93 +270,224 @@ def _solve_exact_point(
     return f, fp
 
 
-def _quad_checked(fn, a, b, pts):
-    from scipy.integrate import IntegrationWarning, quad
+# -- adaptive Gauss-Kronrod quadrature ----------------------------------------------
 
-    # the error estimate is checked by hand below, so the library's own
-    # roundoff warning is redundant noise here
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(fn, a, b, points=pts or None, epsabs=_EPSABS, epsrel=1e-12, limit=300)
-        if err > max(1e-10, 1e-9 * abs(val)):
-            val, err = quad(fn, a, b, points=pts or None, epsabs=_EPSABS, epsrel=1e-13, limit=1000)
-            if err > max(1e-9, 1e-8 * abs(val)):
-                raise RuntimeError(
-                    f"quadrature error estimate {err:.2e} too large on [{a}, {b}]"
-                )
-    return val
+# The 15-point Kronrod rule on [-1, 1] and its embedded 7-point Gauss rule
+# (Piessens et al. 1983, QUADPACK qk15; Laurie 1997), nonnegative half from
+# the outermost node in.  The Gauss nodes are every other Kronrod node, so
+# one evaluation serves both rules and |K15 - G7| estimates the error.
+_XGK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
+)
+_WGK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_WG = (
+    0.0,
+    0.129484966168869693270611432679082,
+    0.0,
+    0.279705391489276667901467771423780,
+    0.0,
+    0.381830050505118944950369775488975,
+    0.0,
+    0.417959183673469387755102040816327,
+)
+_GK_NODES = np.array([-v for v in _XGK] + list(_XGK[-2::-1]))
+# columns: the K15 weights and the K15 - G7 weights, on the ascending nodes
+_GK_WEIGHTS = np.array(
+    [[wk, wk - wg] for wk, wg in zip(_WGK + _WGK[-2::-1], _WG + _WG[-2::-1])]
+)
+
+# A grid point is done when the sum of |K15 - G7| over its intervals is at
+# most max(_EPSABS, _EPSREL |integral|, _EPSROUND * integral of |integrand|);
+# the last term is the rounding floor of the node sums (QUADPACK's 50 eps).
+_EPSABS = 1e-14
+_EPSREL = 1e-12
+_EPSROUND = 50.0 * 2.0**-52
+_MAX_ROUNDS = 50
+_MAX_INTERVALS = 1000  # per grid point; bounds memory like QUADPACK's limit
 
 
-def _solve_quad_point(
-    alpha: float, k: int, x: float, br: str, rhs, y: float
-) -> tuple[float, float]:
-    """One grid point by adaptive quadrature, at the scale of f itself.
+class _NonFinite(ArithmeticError):
+    """args: the integrand's name and the grid index where it is not finite."""
+
+
+def _gk15(fn, owner: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """K15, |K15 - G7| and K15 of |fn| on each interval [a, b]."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = fn(c[:, None] + h[:, None] * _GK_NODES, owner)
+        sums = vals @ _GK_WEIGHTS
+    # every K15 weight is positive, so a node value that is not finite shows here
+    bad = ~np.isfinite(sums[:, 0])
+    if bad.any():
+        raise _NonFinite(fn.__name__, int(owner[bad].min()))
+    return h * sums[:, 0], np.abs(h * sums[:, 1]), h * (np.abs(vals) @ _GK_WEIGHTS[:, 0])
+
+
+def _integrate(pieces: list, ys: np.ndarray) -> np.ndarray:
+    """The sum of the integrals each grid point owns, by adaptive G7/K15
+    bisection of all points at once.
+
+    ``pieces`` lists (fn, owner, a, b): grid point ``owner[j]`` integrates
+    ``fn`` over [a[j], b[j]], and ``fn(nodes, owner)`` evaluates a whole
+    (intervals x 15) node array.  Each round evaluates the new intervals of
+    each integrand once.  A point whose summed error is above its tolerance
+    bisects every interval whose error exceeds a quarter of that tolerance
+    shared over its intervals and keeps the rest; a point within tolerance
+    is final and its intervals leave.  A point still open after _MAX_ROUNDS
+    rounds, or with more than _MAX_INTERVALS intervals, is an error.
+    """
+    n = len(ys)
+    out = np.zeros(n)
+    # per integrand: fn, owner, a, b, then K15, |K15 - G7| and K15 of |fn|
+    live = [(fn, owner, a, b, *_gk15(fn, owner, a, b)) for fn, owner, a, b in pieces]
+
+    def per_point(col):
+        return sum((np.bincount(p[1], p[col], n) for p in live), np.zeros(n))
+
+    for rounds in itertools.count(1):
+        val, err, absval = per_point(4), per_point(5), per_point(6)
+        count = sum((np.bincount(p[1], minlength=n) for p in live), np.zeros(n))
+        tol = np.maximum(np.maximum(_EPSABS, _EPSREL * np.abs(val)), _EPSROUND * absval)
+        open_ = err > tol
+        out[~open_] += val[~open_]
+        if not open_.any():
+            return out
+        stuck = open_ & (count > _MAX_INTERVALS)
+        if rounds >= _MAX_ROUNDS or stuck.any():
+            i = int(np.flatnonzero(stuck if stuck.any() else open_)[0])
+            _, name, lo, hi = max(
+                (p[5][j], p[0].__name__, p[2][j], p[3][j])
+                for p in live
+                for j in np.flatnonzero(p[1] == i)
+            )
+            raise RuntimeError(
+                f"quadrature error estimate {err[i]:.2e} above {tol[i]:.2e} at y = {ys[i]} "
+                f"after {rounds} rounds and {int(count[i])} intervals; the worst is "
+                f"[{lo}, {hi}] of {name}"
+            )
+        cut = tol / (4.0 * np.maximum(count, 1.0))
+        nxt = []
+        for fn, owner, a, b, *sums in live:
+            split = open_[owner] & (sums[1] > cut[owner])
+            keep = open_[owner] & ~split
+            mid = 0.5 * (a[split] + b[split])
+            o2 = np.concatenate([owner[split], owner[split]])
+            a2 = np.concatenate([a[split], mid])
+            b2 = np.concatenate([mid, b[split]])
+            new = _gk15(fn, o2, a2, b2)
+            nxt.append(
+                (fn, np.concatenate([owner[keep], o2]), np.concatenate([a[keep], a2]),
+                 np.concatenate([b[keep], b2]),
+                 *(np.concatenate([old[keep], nw]) for old, nw in zip(sums, new)))
+            )
+        live = nxt
+
+
+def _split(fn, owner: np.ndarray, a: np.ndarray, b: np.ndarray, at: np.ndarray) -> list:
+    """Pieces of ``fn`` over [a, b] for each owner, split at ``at`` where it
+    lies strictly inside."""
+    inside = (a < at) & (at < b)
+    return [(fn, owner, a, np.where(inside, at, b)), (fn, owner[inside], at[inside], b[inside])]
+
+
+def _solve_quad(
+    alpha: float, k: int, x: float, br: str, rhs, y: np.ndarray, g_y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every grid point by adaptive quadrature, at the scale of f itself.
 
     The defining integral is rescaled by the substitution s = |y| v so that
     the quadrature target is f directly (the bare integral would need
     relative accuracy under a |y|^(-alpha) prefactor, and for y well past
     the threshold it hides e^y-sized cancellation; integrating the tail
     from +infinity instead avoids both).  The remaining endpoint
-    singularity v^(alpha-1) is removed by v = u^(1/alpha).  ``rhs`` is
-    the solve's ``_scalar_rhs``.
+    singularity v^(alpha-1) is removed by v = u^(1/alpha).  Powers are
+    taken in log space, so an integrand overflows only where the integral
+    does.  ``rhs`` is the solve's ``_rhs`` and ``g_y`` its values on y.
     """
-    g_y = rhs(y)
-
-    if y < 0:
-        t = -y
-        v0 = min((-x) / t, 1.0) if br == "negative" else 0.0
-        if v0 >= 1.0:
-            f = 0.0
-        elif v0 > 0.0:
-            # f = int_{v0}^1 e^{t(v-1)} v^(alpha-1) g(-t v) dv
-            def integrand_v(v):
-                return math.exp(t * (v - 1.0)) * v ** (alpha - 1.0) * rhs(-t * v)
-
-            f = _quad_checked(integrand_v, v0, 1.0, None)
-        else:
-            # v = u^(1/m) flattens the combined v^(alpha-1) g(-tv) endpoint
-            # singularity; the weight contributes v^-(k+1) on the origin branch
-            m = alpha if br == "positive" else alpha - (k + 1.0)
-
-            def integrand_u(u):
-                if u <= 0.0:
-                    return 0.0
-                v = u ** (1.0 / m)
-                return (
-                    math.exp(t * (v - 1.0))
-                    * v ** (alpha - 1.0)
-                    * rhs(-t * v)
-                    * u ** (1.0 / m - 1.0)
-                    / m
-                )
-
-            f = _quad_checked(integrand_u, 0.0, 1.0, None)
-        fp = (1.0 + alpha / t) * f - g_y / t
-        return f, fp
-    if br != "positive":
-        return 0.0, 0.0
-    if y < 1.0:
-        # f = int_0^1 e^{y(1-u^(1/a))} g(y u^(1/a)) du / alpha
-        def integrand_u(u):
-            v = u ** (1.0 / alpha)
-            return math.exp(y * (1.0 - v)) * rhs(y * v) / alpha
-
-        pts = [(x / y) ** alpha] if x < y else None
-        f = _quad_checked(integrand_u, 0.0, 1.0, pts)
+    t = -y
+    left = np.flatnonzero(y < 0)
+    if br == "negative":
+        # f = int_{v0}^1 e^{t(v-1)} v^(alpha-1) g(-t v) dv, v0 = |x|/t, and 0 when v0 >= 1
+        v0 = -x / t[left]
+        left, lo = left[v0 < 1.0], v0[v0 < 1.0]
+        m = 1.0
     else:
-        # f = -(1/y) int_0^inf e^{-t} ((y+t)/y)^(alpha-1) g(y+t) dt
-        def integrand_t(t):
-            return math.exp(-t) * ((y + t) / y) ** (alpha - 1.0) * rhs(y + t)
+        # v = u^(1/m) flattens the combined v^(alpha-1) g(-tv) endpoint
+        # singularity; the weight contributes v^-(k+1) on the origin branch
+        lo = np.zeros(len(left))
+        m = alpha if br == "positive" else alpha - (k + 1.0)
 
-        t0 = x - y
-        if t0 > 0:
-            f = -(
-                _quad_checked(integrand_t, 0.0, t0, None)
-                + _quad_checked(integrand_t, t0, np.inf, None)
-            ) / y
-        else:
-            f = -_quad_checked(integrand_t, 0.0, np.inf, None) / y
-    fp = (1.0 - alpha / y) * f + g_y / y
+    def integrand_u(u, i):
+        ti = t[i, None]
+        v = u ** (1.0 / m)
+        return np.exp(ti * (v - 1.0) + (alpha / m - 1.0) * np.log(u)) * rhs(-ti * v) / m
+
+    # e^{t(v-1)} is a layer of width 1/t at v = 1, narrower still in u for
+    # m < 1, which the first nodes on [0, 1] can step over; a split at
+    # v = 1 - 40/t gives it a piece of its own, and below the split the
+    # weight is under e^-40
+    layer = np.maximum(1.0 - 40.0 / t[left], 0.0) ** m
+    pieces = _split(integrand_u, left, lo, np.ones(len(left)), layer)
+    near = far = np.zeros(0, dtype=int)
+    if br == "positive":
+        near = np.flatnonzero((y > 0) & (y < 1.0))
+        far = np.flatnonzero(y >= 1.0)
+
+        # f = int_0^1 e^{y(1-u^(1/a))} g(y u^(1/a)) du / alpha, split where y u^(1/a) = x
+        def integrand_near(u, i):
+            yi = y[i, None]
+            v = u ** (1.0 / alpha)
+            return np.exp(yi * (1.0 - v)) * rhs(yi * v) / alpha
+
+        at = np.minimum(x / y[near], 1.0) ** alpha
+        pieces += _split(integrand_near, near, np.zeros(len(near)), np.ones(len(near)), at)
+
+        # f = -(1/y) int_0^inf e^{-t} ((y+t)/y)^(alpha-1) g(y+t) dt, split at t0 = x - y,
+        # and [max(t0, 0), inf) mapped to [0, 1) by t = t0 + s/(1-s)
+        t0 = np.maximum(x - y, 0.0)
+
+        def integrand_t(tt, i):
+            yi = y[i, None]
+            return np.exp(-tt + (alpha - 1.0) * np.log1p(tt / yi)) * rhs(yi + tt)
+
+        def integrand_s(s, i):
+            yi = y[i, None]
+            tt = t0[i, None] + s / (1.0 - s)
+            return np.exp(-tt + (alpha - 1.0) * np.log1p(tt / yi) - 2.0 * np.log1p(-s)) * rhs(yi + tt)
+
+        head = far[t0[far] > 0]
+        pieces += [
+            (integrand_t, head, np.zeros(len(head)), t0[head]),
+            (integrand_s, far, np.zeros(len(far)), np.ones(len(far))),
+        ]
+    total = _integrate([p for p in pieces if len(p[1])], y)
+    f = np.zeros(len(y))
+    f[left] = total[left]
+    f[near] = total[near]
+    f[far] = -total[far] / y[far]
+    fp = np.zeros(len(y))
+    neg = y < 0
+    fp[neg] = (1.0 + alpha / t[neg]) * f[neg] - g_y[neg] / t[neg]
+    if br == "positive":
+        pos = y > 0
+        fp[pos] = (1.0 - alpha / y[pos]) * f[pos] + g_y[pos] / y[pos]
     return f, fp
 
 
@@ -374,8 +501,11 @@ def solve(
     """Solve the Stein ODE on a grid (strictly increasing, excluding 0).
 
     method "exact" evaluates the closed-form representation of the canonical
-    solution; method "quad" integrates the defining integral by adaptive
-    quadrature with the endpoint substitution s = u^(1/alpha) near 0.
+    solution point by point; method "quad" integrates the defining integral
+    on every grid point at once, by adaptive Gauss-Kronrod (G7/K15)
+    bisection in numpy with the endpoint substitution s = u^(1/alpha) near
+    0.  An overflow in either route raises OverflowError naming the function
+    and the grid point.
     """
     br = _check_branch(alpha, k, x)
     if method not in ("exact", "quad"):
@@ -385,24 +515,38 @@ def solve(
         raise ValueError("grid must exclude 0")
     if any(g[i] >= g[i + 1] for i in range(len(g) - 1)):
         raise ValueError("grid must be strictly increasing")
+
+    def overflow(name: str, y: float, detail: str) -> OverflowError:
+        return OverflowError(
+            f"stein solve ({method}) overflowed in {name} "
+            f"at alpha = {alpha}, k = {k}, x = {x}, y = {y}: {detail}"
+        )
+
     eh = float(gamma_pdf_deriv(alpha, k, x))
-    rhs = _scalar_rhs(alpha, k, x, eh)
-    f = np.empty(len(g))
-    fp = np.empty(len(g))
-    for i, y in enumerate(g):
+    rhs = _rhs(alpha, k, x, eh)
+    ys = np.array(g)
+    with np.errstate(over="ignore"):
+        g_y = rhs(ys)
+    if not np.all(np.isfinite(g_y)):
+        i = int(np.flatnonzero(~np.isfinite(g_y))[0])
+        raise overflow("rhs", g[i], "h(y) - E h(G) is not finite")
+    if method == "quad":
         try:
-            if method == "exact":
-                f[i], fp[i] = _solve_exact_point(alpha, k, x, br, eh, rhs, y)
-            else:
-                f[i], fp[i] = _solve_quad_point(alpha, k, x, br, rhs, y)
-        except OverflowError as exc:
-            tb = exc.__traceback__
-            while tb.tb_next is not None:
-                tb = tb.tb_next
-            raise OverflowError(
-                f"stein solve ({method}) overflowed in {tb.tb_frame.f_code.co_name} "
-                f"at alpha = {alpha}, k = {k}, x = {x}, y = {y}: {exc}"
-            ) from exc
+            f, fp = _solve_quad(alpha, k, x, br, rhs, ys, g_y)
+        except _NonFinite as exc:
+            name, i = exc.args
+            raise overflow(name, g[i], "the integrand is not finite") from None
+    else:
+        f = np.empty(len(g))
+        fp = np.empty(len(g))
+        for i, y in enumerate(g):
+            try:
+                f[i], fp[i] = _solve_exact_point(alpha, k, x, br, eh, float(g_y[i]), y)
+            except OverflowError as exc:
+                tb = exc.__traceback__
+                while tb.tb_next is not None:
+                    tb = tb.tb_next
+                raise overflow(tb.tb_frame.f_code.co_name, y, str(exc)) from exc
     return SteinSolution(alpha, k, float(x), tuple(g), f, fp, eh, method)
 
 

@@ -138,6 +138,22 @@ def test_bound_command_loads_no_scipy_special_or_integrate(tmp_path, route):
     assert (tmp_path / "out" / "bound_report.json").exists()
 
 
+def test_stein_quad_command_loads_no_scipy_special_or_integrate(tmp_path):
+    """The quadrature route integrates in numpy, so on the benchmark's
+    stein-quad config it needs no ``scipy.special`` or ``scipy.integrate``."""
+    grid = {"lo": 1e-3, "hi": 50.0, "points": 200, "two_sided": True}
+    cfg = write_config(tmp_path, {"alpha": 4.0, "k": 1, "x": 2.0, "grid": grid, "method": "quad"})
+    script = (
+        "import sys; from chaosgamma.cli import main; "
+        f"code = main(['stein', '--config', {cfg!r}, '--out', 'out']); "
+        "print(code, 'scipy.special' in sys.modules, 'scipy.integrate' in sys.modules)"
+    )
+    proc = fresh_python(tmp_path, "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False False"
+    assert (tmp_path / "out" / "stein.csv").exists()
+
+
 def test_moments_refuses_odd_order(tmp_path, capsys):
     rng = np.random.default_rng(3)
     F = ChaosVector.from_kernel(symmetrize(rng.normal(size=(3, 3, 3)) * 0.3))
@@ -400,6 +416,21 @@ def test_stein_overflow_names_the_function_and_the_point(tmp_path, capsys):
     assert err["error"]["message"] == (
         "stein solve (exact) overflowed in _ewpi_series at alpha = 200.0, k = 0, x = 100.0, "
         "y = -50.0: math range error"
+    )
+
+
+def test_stein_quad_overflow_names_the_integrand_and_warns_nothing(tmp_path, capsys):
+    # in process, so pytest's RuntimeWarning-as-error filter applies: the
+    # tail integrand is taken in log space and overflows only where the
+    # integral does
+    code = main(
+        ["stein", "--alpha", "200", "--k", "0", "--x", "100", "--method", "quad", "--out", str(tmp_path)]
+    )
+    err, _ = last_json_line(capsys)
+    assert code == 2
+    assert err["error"]["type"] == "numerical"
+    assert err["error"]["message"].startswith(
+        "stein solve (quad) overflowed in integrand_t at alpha = 200.0, k = 0, x = 100.0, y = "
     )
 
 

@@ -46,14 +46,60 @@ def test_exact_solution_has_tiny_residual(alpha, k, x):
     )
 
 
-@pytest.mark.parametrize("alpha,k,x", [(2.0, 0, 1.0), (4.0, 1, -2.0), (3.0, 0, 0.0)])
+@pytest.mark.parametrize(
+    "alpha,k,x", POSITIVE_CASES + NEGATIVE_CASES + ORIGIN_CASES + [(4.0, 1, 0.5), (6.21, 2, 6.0)]
+)
 def test_quadrature_route_agrees_with_exact(alpha, k, x):
-    grid = two_sided_grid(1e-2, 20.0, 12)
+    """Every branch, x in (0, 1) (the split at (x/y)^alpha) and k = 2, on the
+    benchmark's grid: f and f' agree to 1e-10 of max(1, |exact|) pointwise."""
+    grid = two_sided_grid(1e-3, 50.0, 200)
     a = solve(alpha, k, x, grid, method="exact")
     b = solve(alpha, k, x, grid, method="quad")
-    scale = max(1.0, float(np.max(np.abs(a.f_values))))
-    assert np.allclose(a.f_values, b.f_values, atol=1e-9 * scale)
-    assert np.allclose(a.fprime_values, b.fprime_values, atol=1e-8 * scale)
+    for want, got in ((a.f_values, b.f_values), (a.fprime_values, b.fprime_values)):
+        assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+
+def test_quadrature_resolves_the_layer_at_the_end_of_a_long_left_range():
+    """For alpha = 0.05 and y = -1000 the weight e^{t(v-1)} lives within
+    about 1e-4 of u = 1 after v = u^(1/alpha), closer than the outermost
+    Kronrod node of [0, 1]."""
+    grid = (-1000.0, -359.0, -50.0, 0.5)
+    a = solve(0.05, 0, 0.5, grid, method="exact")
+    b = solve(0.05, 0, 0.5, grid, method="quad")
+    assert np.all(np.abs(b.f_values - a.f_values) <= 1e-10 * np.maximum(1.0, np.abs(a.f_values)))
+
+
+def test_quadrature_round_cap_names_the_point(monkeypatch):
+    monkeypatch.setattr(stein_module, "_MAX_ROUNDS", 1)
+    grid = two_sided_grid(1e-3, 50.0, 20)
+    with pytest.raises(RuntimeError, match=r"at y = -?[0-9.e+-]+ after 1 rounds") as info:
+        solve(4.0, 1, 2.0, grid, method="quad")
+    named = float(str(info.value).split("at y = ")[1].split()[0])
+    assert named in grid
+
+
+@pytest.mark.parametrize("method", ["exact", "quad"])
+def test_right_hand_side_that_overflows_on_the_grid_is_named(method):
+    """nu_2(y) holds y^-2, which overflows at y = -1e-160 on the origin branch."""
+    with pytest.raises(OverflowError, match=r"overflowed in rhs at .* y = -1e-160: "):
+        solve(3.0, 1, 0.0, (-1e-160, 1.0), method=method)
+
+
+def test_gauss_kronrod_constants():
+    """The embedded G7 rule is Gauss-Legendre; K15 integrates polynomials of
+    degree 22 exactly and G7 those of degree 13."""
+    nodes = stein_module._GK_NODES
+    wk = stein_module._GK_WEIGHTS[:, 0]
+    wg = wk - stein_module._GK_WEIGHTS[:, 1]
+    gx, gw = np.polynomial.legendre.leggauss(7)
+    assert np.allclose(nodes[1::2], gx, rtol=0, atol=1e-15)
+    assert np.allclose(wg[1::2], gw, rtol=0, atol=1e-15)
+    assert np.all(wg[0::2] == 0.0) and np.all(wk > 0)
+    for j in range(23):
+        exact = (1.0 - (-1.0) ** (j + 1)) / (j + 1)
+        assert abs(wk @ nodes**j - exact) <= 1e-15
+        if j <= 13:
+            assert abs(wg @ nodes**j - exact) <= 1e-15
 
 
 def test_negative_threshold_solution_vanishes_above_x():
