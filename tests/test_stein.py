@@ -61,8 +61,8 @@ def test_quadrature_route_agrees_with_exact(alpha, k, x):
 
 def test_quadrature_resolves_the_layer_at_the_end_of_a_long_left_range():
     """For alpha = 0.05 and y = -1000 the weight e^{t(v-1)} lives within
-    about 1e-4 of u = 1 after v = u^(1/alpha), closer than the outermost
-    Kronrod node of [0, 1]."""
+    about alpha/t = 5e-5 of u = 1 after v = u^(1/alpha), far closer than
+    the outermost Kronrod node of [0, 1]."""
     grid = (-1000.0, -359.0, -50.0, 0.5)
     a = solve(0.05, 0, 0.5, grid, method="exact")
     b = solve(0.05, 0, 0.5, grid, method="quad")
@@ -76,6 +76,15 @@ def test_quadrature_round_cap_names_the_point(monkeypatch):
         solve(4.0, 1, 2.0, grid, method="quad")
     named = float(str(info.value).split("at y = ")[1].split()[0])
     assert named in grid
+
+
+def test_quadrature_that_cannot_converge_stops_at_the_interval_cap():
+    """At alpha = 30, x = 20 the tail integral near y = 1 cancels parts of
+    order Gamma(30)/y^29; rounding in the integrand keeps its error estimate
+    above tolerance, and the point is refused once it holds more than
+    _MAX_INTERVALS intervals instead of being bisected without end."""
+    with pytest.raises(RuntimeError, match=r"at y = 1\.09\d* after \d+ rounds and \d{4} intervals"):
+        solve(30.0, 3, 20.0, two_sided_grid(1e-3, 50.0, 100), method="quad")
 
 
 @pytest.mark.parametrize("method", ["exact", "quad"])
